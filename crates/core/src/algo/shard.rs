@@ -41,33 +41,47 @@
 //! certificate against `mmd-exact`; `tests/shard_equivalence.rs` pins the
 //! shard-vs-monolithic differential behaviour.
 //!
-//! # The hierarchical (two-level) partition
+//! # The partition tree
 //!
-//! With [`ShardConfig::super_shards`] `≥ 2` the same machinery is applied
-//! twice, as one explicit tree ([`HierarchicalSharding`]): a *coarse*
-//! partition at cap `⌈|S| / super_shards⌉` (head-split while its
-//! [`Sharding::skew_ratio`] exceeds [`ShardConfig::head_split_skew`], so a
-//! Zipf catalog head cannot pin one super-shard as the critical path), a
-//! single water-fill of every finite budget across the few super-shards,
-//! and per super-shard an *inner* partition at `max_streams` granularity
-//! with its own water-fill of the super-shard's share. All inner shards
-//! across all super-shards are then solved through **one flat
-//! [`solve_batch`] fan-out**, so workers steal inner-shard solves across
-//! super-shards and the outcome stays bit-identical at any thread count.
-//! Certificate terms come from the super level only — per-super-shard
-//! bounds under the FULL budgets plus the coarse `cut_mass` (plus the
-//! compact-lane quantization mass) — because budget-restricted inner
-//! bounds would not be valid for the full-budget optimum. Flat solving is
-//! exactly the depth-1 case of this tree.
+//! Every sharded solve — [`solve_sharded`] and each ingest-engine apply —
+//! runs through one tree ([`HierarchicalSharding`]) at one of two depths,
+//! chosen by [`ShardConfig::super_shards`]:
+//!
+//! * **Depth 2** (`super_shards ≥ 2`): a *coarse* partition at cap
+//!   `⌈|S| / super_shards⌉` (head-split while its
+//!   [`Sharding::skew_ratio`] exceeds [`ShardConfig::head_split_skew`], so
+//!   a Zipf catalog head cannot pin one super-shard as the critical path),
+//!   a single water-fill of every finite budget across the few
+//!   super-shards, and per super-shard an *inner* partition at
+//!   `max_streams` granularity with its own water-fill of the super-shard's
+//!   share and its own merge, repair and fill.
+//! * **Depth 1** (`super_shards ≤ 1`): the flat partition
+//!   [`shard_instance`]`(instance, max_streams)` with no head-split. Each
+//!   super-shard is its own single inner shard and is solved directly
+//!   under the share the water-fill gave it: the share is passed through,
+//!   with no re-partition, no second water-fill and no per-super tail.
+//!
+//! At either depth all inner shards across all super-shards are solved
+//! through **one flat [`solve_batch`] fan-out**, so workers steal
+//! inner-shard solves across super-shards and the outcome stays
+//! bit-identical at any thread count. The global repair and fill are the
+//! only tail shared by all super-shards. Certificate terms come from the
+//! top level only — per-super-shard bounds under the FULL budgets plus the
+//! top-level `cut_mass` (plus the compact-lane quantization mass) —
+//! because budget-restricted inner bounds would not be valid for the
+//! full-budget optimum.
 
 use crate::algo::batch::solve_batch;
 use crate::algo::reduction::{residual_fill, MmdConfig};
 use crate::assignment::Assignment;
 use crate::error::SolveError;
+use crate::govern::{DegradeAction, SolveBudget};
 use crate::graph::{collect_components, UnionFind};
 use crate::ids::{StreamId, UserId};
+use crate::ingest::{IngestConfig, IngestOutcome, Touched};
 use crate::instance::Instance;
 use crate::num;
+use std::time::Instant;
 
 /// Configuration for [`solve_sharded`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,14 +111,17 @@ pub struct ShardConfig {
     /// measures are never inflated, so exactly-decomposable instances stay
     /// bit-identical to the monolithic solve.
     pub budget_slack: f64,
-    /// Number of super-shards for two-level sharding (`0` or `1` disables
-    /// it — the default). With `k ≥ 2`, the catalog is first partitioned at
-    /// the coarse cap `⌈|S| / k⌉` into a [`HierarchicalSharding`]: each
-    /// finite budget is water-filled *once* across the few super-shards,
-    /// every super-shard is partitioned again at `max_streams` granularity,
-    /// and all inner shards across all super-shards are solved through one
-    /// flat [`solve_batch`] fan-out (workers steal inner-shard solves
-    /// across super-shards, so a skewed super-shard cannot pin a worker).
+    /// Number of super-shards for two-level sharding. `0` or `1` (the
+    /// default) is depth 1 of the [`HierarchicalSharding`] tree: the flat
+    /// partition at `max_streams`, each shard solved directly under its
+    /// water-filled share (no re-water-fill, no per-super tail). With
+    /// `k ≥ 2`, the catalog is first partitioned at the coarse cap
+    /// `⌈|S| / k⌉`: each finite budget is water-filled *once* across the
+    /// few super-shards, every super-shard is partitioned again at
+    /// `max_streams` granularity, and all inner shards across all
+    /// super-shards are solved through one flat [`solve_batch`] fan-out
+    /// (workers steal inner-shard solves across super-shards, so a skewed
+    /// super-shard cannot pin a worker).
     /// The water-fill's refill loop is worst-case quadratic in the number
     /// of parties, so splitting it across two levels (`k` outer +
     /// `shards/k` inner parties instead of `shards`) is what keeps
@@ -147,7 +164,7 @@ impl ShardConfig {
     }
 
     /// Enables two-level sharding with the given number of super-shards
-    /// (`0` or `1` keeps the single-level path).
+    /// (`0` or `1` keeps depth 1, the flat partition).
     #[must_use]
     pub fn with_super_shards(mut self, super_shards: usize) -> Self {
         self.super_shards = super_shards;
@@ -513,10 +530,8 @@ pub fn build_shard_instance(
 /// `local_of` maps a global stream id to its dense local index within the
 /// shard, or `None` for streams outside it. [`solve_sharded`] passes a
 /// lookup backed by [`Sharding`]'s precomputed maps so that building every
-/// shard costs O(shard), not O(instance) each. Crate-visible so the ingest
-/// engine builds its dirty shards through the identical path (bit-for-bit
-/// equivalence with a from-scratch [`solve_sharded`] depends on it).
-pub(crate) fn build_shard_instance_with(
+/// shard costs O(shard), not O(instance) each.
+fn build_shard_instance_with(
     instance: &Instance,
     shard: &Shard,
     budgets: &[f64],
@@ -758,12 +773,20 @@ fn split_head_shards(instance: &Instance, supering: &mut Sharding, config: &Shar
     }
 }
 
-/// The explicit two-level partition tree: the coarse super level plus its
-/// certificate terms and water-filled budget shares. This is the single
-/// source of truth for `super_shards ≥ 2` solving — [`solve_sharded`]
-/// builds one per call and the ingest engine maintains one incrementally —
-/// and flat solving is its depth-1 degenerate case (every shard its own
-/// super-shard under the full budgets).
+/// The top level of the partition tree, with its certificate terms and
+/// water-filled budget shares. Every sharded solve runs through it —
+/// [`solve_sharded`] builds one per call, the ingest engine one per apply
+/// (reusing cached bounds) — at one of two depths:
+///
+/// * **depth 2** (`super_shards ≥ 2`): the super-shards of
+///   [`super_partition`], each re-partitioned at `max_streams` with its
+///   share water-filled again across its inner shards, and finished by a
+///   per-super merge, repair and fill;
+/// * **depth 1** (`super_shards ≤ 1`): the flat partition
+///   [`shard_instance`]`(instance, max_streams)`, with no head-split. Each
+///   super-shard is its own single inner shard and is solved directly
+///   under its share as water-filled here: no re-partition, no second
+///   water-fill, no per-super tail.
 ///
 /// `bounds[k]` is [`shard_utility_bound`] of super-shard `k` under the
 /// **full** server budgets. It serves double duty: as the water-fill
@@ -774,7 +797,7 @@ fn split_head_shards(instance: &Instance, supering: &mut Sharding, config: &Shar
 /// full-budget optimum).
 #[derive(Clone, Debug)]
 pub struct HierarchicalSharding {
-    /// The coarse partition (after head-splitting), over global ids.
+    /// The top-level partition over global ids.
     pub supers: Sharding,
     /// Per-super-shard utility bound under the full budgets: water-fill
     /// weight and certificate term at once.
@@ -784,13 +807,36 @@ pub struct HierarchicalSharding {
 }
 
 impl HierarchicalSharding {
-    /// Builds the coarse level for `instance`: partition + head-split
-    /// ([`super_partition`]), full-budget bounds, water-filled shares.
+    /// Builds the top level for `instance` at the depth `config` selects:
+    /// partition, full-budget bounds, water-filled shares.
     #[must_use]
     pub fn new(instance: &Instance, config: &ShardConfig) -> Self {
-        let supers = super_partition(instance, config);
+        Self::with_bounds(instance, config, Self::partition(instance, config), |_| {
+            None
+        })
+    }
+
+    /// The top-level partition: [`super_partition`] at depth 2, the flat
+    /// [`shard_instance`] at depth 1.
+    fn partition(instance: &Instance, config: &ShardConfig) -> Sharding {
+        if config.super_shards > 1 {
+            super_partition(instance, config)
+        } else {
+            shard_instance(instance, config.max_streams)
+        }
+    }
+
+    /// Completes the level for an existing partition: `cached(k)` supplies
+    /// the still-valid bound of super-shard `k`, every other bound is
+    /// computed, and the shares are water-filled from the bounds.
+    fn with_bounds(
+        instance: &Instance,
+        config: &ShardConfig,
+        supers: Sharding,
+        cached: impl Fn(usize) -> Option<f64>,
+    ) -> Self {
         let bounds: Vec<f64> = (0..supers.num_shards())
-            .map(|k| shard_utility_bound(instance, &supers, k))
+            .map(|k| cached(k).unwrap_or_else(|| shard_utility_bound(instance, &supers, k)))
             .collect();
         let shares = split_budgets(instance, &supers, &bounds, config.budget_slack);
         HierarchicalSharding {
@@ -814,21 +860,20 @@ impl HierarchicalSharding {
     }
 }
 
-/// Everything needed to solve one super-shard: its standalone sub-instance
-/// (budgets = the super-shard's water-filled share), the inner partition
-/// of that sub-instance at `max_streams` granularity, and the inner-level
-/// water-fill of the share across the inner shards. Built by
-/// [`plan_super`] identically in the from-scratch and the incremental
-/// paths — (super, inner) cache reuse in the ingest engine is sound
-/// because an unchanged (membership, content, share) triple reproduces
-/// this plan bit-for-bit.
-pub(crate) struct SuperPlan {
+/// Everything needed to solve one super-shard at depth 2: its standalone
+/// sub-instance (budgets = the super-shard's water-filled share), the
+/// inner partition of that sub-instance at `max_streams` granularity, and
+/// the inner-level water-fill of the share across the inner shards. Built
+/// by [`plan_super`] identically in cold and incremental solves — (super,
+/// inner) cache reuse is sound because an unchanged (membership, content,
+/// share) triple reproduces this plan bit-for-bit.
+struct SuperPlan {
     /// The super-shard's standalone instance (local ids, share budgets).
-    pub sub: Instance,
+    sub: Instance,
     /// The inner partition of [`Self::sub`].
-    pub inner: Sharding,
+    inner: Sharding,
     /// Water-filled share of the super-shard's budgets per inner shard.
-    pub inner_shares: Vec<Vec<f64>>,
+    inner_shares: Vec<Vec<f64>>,
     /// Dense local index of each of `sub`'s streams within its inner shard.
     local_of_stream: Vec<usize>,
 }
@@ -838,7 +883,7 @@ pub(crate) struct SuperPlan {
 /// bounds (water-fill weights only — never certificate terms) and inner
 /// shares. `local_of_stream` maps global stream ids to their dense local
 /// index within their super-shard, so the build costs O(super-shard).
-pub(crate) fn plan_super(
+fn plan_super(
     instance: &Instance,
     supers: &Sharding,
     local_of_stream: &[usize],
@@ -876,7 +921,7 @@ pub(crate) fn plan_super(
 /// Builds the standalone instance of inner shard `j` of a planned
 /// super-shard, named `"{instance}#super{k}#shard{j}"` (the name is a
 /// label only — solve results never depend on it).
-pub(crate) fn build_inner_instance(plan: &SuperPlan, j: usize) -> Instance {
+fn build_inner_instance(plan: &SuperPlan, j: usize) -> Instance {
     build_shard_instance_with(
         &plan.sub,
         &plan.inner.shards[j],
@@ -886,21 +931,17 @@ pub(crate) fn build_inner_instance(plan: &SuperPlan, j: usize) -> Instance {
     )
 }
 
-/// The per-super-shard tail: merge the inner-shard solutions (`locals`,
-/// one assignment per inner shard, inner-local ids) into one assignment
-/// over the super-shard's sub-instance, repair the share budgets, and
-/// optionally run the residual fill — exactly what the single-level solve
-/// does for its shards. Returns the merged assignment (sub-local ids) and
-/// the number of streams the repair pass dropped.
-pub(crate) fn finish_super(
-    plan: &SuperPlan,
-    locals: &[Assignment],
-    global_fill: bool,
-) -> (Assignment, usize) {
+/// The per-super-shard tail at depth 2: merge the inner-shard solutions
+/// (one entry per inner shard, inner-local ids) into one
+/// assignment over the super-shard's sub-instance, repair the share
+/// budgets, and optionally run the residual fill. Returns the merged
+/// assignment (sub-local ids) and the number of streams the repair pass
+/// dropped.
+fn finish_super(plan: &SuperPlan, inner: &[InnerEntry], global_fill: bool) -> (Assignment, usize) {
     let mut merged = Assignment::for_instance(&plan.sub);
-    for (shard, local) in plan.inner.shards.iter().zip(locals) {
+    for (shard, entry) in plan.inner.shards.iter().zip(inner) {
         for (lu, &gu) in shard.users.iter().enumerate() {
-            for ls in local.streams_of(UserId::new(lu)) {
+            for ls in entry.local.streams_of(UserId::new(lu)) {
                 merged.assign(gu, shard.streams[ls.index()]);
             }
         }
@@ -943,10 +984,13 @@ pub struct ShardedOutcome {
     pub skew_ratio: f64,
 }
 
-/// Solves one instance by sharding: partition ([`shard_instance`]), solve
-/// shards concurrently ([`solve_batch`] at `config.threads` workers over
-/// water-filled budget splits), merge, repair the shared budgets, and
-/// optionally run a global [`residual_fill`].
+/// Solves one instance by sharding: partition ([`shard_instance`], or
+/// [`super_partition`] plus an inner partition per super-shard in
+/// two-level mode), solve the shards concurrently ([`solve_batch`] at
+/// `config.threads` workers over water-filled budget splits), merge,
+/// repair the shared budgets, and optionally run a global
+/// [`residual_fill`]. This is the ingest engine's solve with nothing
+/// cached and no solve-cost budget.
 ///
 /// The outcome is deterministic and bit-identical at any thread count. On
 /// an instance whose components are disjoint and whose budgets are
@@ -990,212 +1034,516 @@ pub fn solve_sharded(
     instance: &Instance,
     config: &ShardConfig,
 ) -> Result<ShardedOutcome, SolveError> {
-    if config.super_shards > 1 {
-        return solve_two_level(instance, config);
-    }
-    let sharding = shard_instance(instance, config.max_streams);
-    // One O(instance) pass for all per-shard membership lookups: the dense
-    // local index of every stream within its own shard. Together with the
-    // sharding's shard_of_* maps this keeps every per-shard step at
-    // O(shard) instead of O(instance) — the difference between linear and
-    // quadratic total work at 10⁵–10⁶ streams.
-    let mut local_of_stream = vec![0usize; instance.num_streams()];
-    for shard in &sharding.shards {
-        for (li, &s) in shard.streams.iter().enumerate() {
-            local_of_stream[s.index()] = li;
-        }
-    }
-    // Per-shard upper bounds double as the water-filling weights: budget
-    // flows to the shards whose streams can actually produce utility.
-    let shard_bounds: Vec<f64> = (0..sharding.num_shards())
-        .map(|k| shard_utility_bound(instance, &sharding, k))
-        .collect();
-    let budgets = split_budgets(instance, &sharding, &shard_bounds, config.budget_slack);
-    // Builds are independent per shard: fan them out on the same worker
-    // budget as the solves (input-ordered, so fully deterministic).
-    let pairs: Vec<(&Shard, &Vec<f64>)> = sharding.shards.iter().zip(&budgets).collect();
-    let sub_instances: Vec<Instance> =
-        mmd_par::parallel_map(config.threads, &pairs, |k, &(shard, share)| {
-            build_shard_instance_with(
-                instance,
-                shard,
-                share,
-                &format!("{}#shard{k}", instance.name()),
-                &|s| (sharding.shard_of_stream[s.index()] == k).then(|| local_of_stream[s.index()]),
-            )
-        });
-
-    let results = solve_batch(&sub_instances, &config.mmd, config.threads);
-
-    let mut merged = Assignment::for_instance(instance);
-    for (shard, result) in sharding.shards.iter().zip(results) {
-        let outcome = result?;
-        for (lu, &gu) in shard.users.iter().enumerate() {
-            for ls in outcome.assignment.streams_of(UserId::new(lu)) {
-                merged.assign(gu, shard.streams[ls.index()]);
-            }
-        }
-    }
-
-    let repaired_streams = repair_budgets(instance, &mut merged);
-    if config.global_fill && merged.check_feasible(instance).is_ok() {
-        residual_fill(instance, &mut merged);
-    }
-
-    let utility = merged.utility(instance);
-    // Compact lanes quantize only the coverage kernel; the bound terms are
-    // computed from the exact pairs, but folding the certified quantization
-    // error in keeps the bracket valid for any kernel-derived quantity too
-    // (0 in exact mode, so the default path is unchanged bit-for-bit).
-    let upper_bound =
-        shard_bounds.iter().sum::<f64>() + sharding.cut_mass + instance.quantization_error();
-    // 0 when the upper bound is 0 (nothing can produce utility, so the
-    // bracket is trivially tight) — and the `> 0` predicate plus the clamp
-    // keep the fraction in [0, 1] and NaN-free even if a bound were ever
-    // non-finite.
-    let gap_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-        ((upper_bound - utility) / upper_bound).clamp(0.0, 1.0)
-    } else {
-        0.0
+    let cold = IngestConfig {
+        shard: *config,
+        ..IngestConfig::default()
     };
-    debug_assert!(
-        merged.check_feasible(instance).is_ok(),
-        "sharded output must be feasible: {:?}",
-        merged.check_feasible(instance)
-    );
+    let tree = solve_cold(instance, &cold)?;
+    let o = tree.outcome;
     Ok(ShardedOutcome {
-        assignment: merged,
-        utility,
-        upper_bound,
-        gap_fraction,
-        num_shards: sharding.num_shards(),
-        largest_shard: sharding.largest_shard_streams(),
-        cut_edges: sharding.cut.len(),
-        cut_mass: sharding.cut_mass,
-        repaired_streams,
-        skew_ratio: sharding.skew_ratio(),
+        assignment: tree.assignment,
+        utility: o.utility,
+        upper_bound: o.upper_bound,
+        gap_fraction: o.gap_fraction,
+        num_shards: o.num_shards,
+        largest_shard: tree.largest_shard,
+        cut_edges: o.cut_edges,
+        cut_mass: o.cut_mass,
+        repaired_streams: o.repaired_streams,
+        skew_ratio: tree.skew_ratio,
     })
 }
 
-/// The two-level path of [`solve_sharded`] (`config.super_shards ≥ 2`):
-/// build the [`HierarchicalSharding`] (coarse partition + head-splitting +
-/// one budget water-fill across the super-shards), plan every super-shard
-/// ([`plan_super`]: sub-instance, inner partition, inner water-fill), then
-/// solve **all** inner shards of all super-shards through one flat
-/// [`solve_batch`] fan-out — workers steal inner solves across
-/// super-shards, so the Zipf head no longer bounds the critical path — and
-/// merge per super-shard ([`finish_super`]) and globally (repair +
-/// optional global fill), exactly like the single level does for its
-/// shards. `solve_batch` results are per-instance deterministic and
-/// input-ordered, so the flat fan-out is bit-identical to solving each
-/// super-shard separately, at any worker count.
-///
-/// Certificate: the upper bound is `Σ_k ub(super_k) + super_cut_mass`,
-/// where every `ub(super_k)` is [`shard_utility_bound`] against the FULL
-/// server budgets — the water-filled shares steer the solves only. This is
-/// the same Lemma 2.1 subadditivity argument as the single level, taken at
-/// the coarse partition: restricting OPT to a super-shard keeps it feasible
-/// for the full budgets, so the per-super-shard bounds (plus the mass of
-/// the interests the coarse partition cut) cover it. Inner certificates are
-/// *not* summed into the bound — budget-restricted inner bounds would not
-/// be valid for the full-budget optimum.
-fn solve_two_level(
+/// [`solve_tree`] with nothing cached and no solve-cost budget.
+pub(crate) fn solve_cold(
     instance: &Instance,
-    config: &ShardConfig,
-) -> Result<ShardedOutcome, SolveError> {
-    let h = HierarchicalSharding::new(instance, config);
+    config: &IngestConfig,
+) -> Result<SolvedTree, SolveError> {
+    let touched = Touched::everything(instance.num_streams(), instance.num_users());
+    let solved = solve_tree(
+        instance,
+        config,
+        SolveBudget::unlimited(),
+        Instant::now(),
+        &TreeCache::default(),
+        &touched,
+    )?;
+    match solved {
+        TreeSolve::Solved(tree) => Ok(*tree),
+        TreeSolve::Shed { .. } => unreachable!("an unlimited budget never sheds"),
+    }
+}
+
+/// The solved tree of the last committed state, keyed by membership: what
+/// the next solve reuses where nothing changed. Empty for a cold solve.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TreeCache {
+    supers: Vec<SuperEntry>,
+    super_of_stream: Vec<usize>,
+    super_of_user: Vec<usize>,
+}
+
+impl TreeCache {
+    /// The cached super-shard that held `shard`'s first stream (or, for a
+    /// stream-less shard, its first user).
+    fn candidate(&self, shard: &Shard) -> Option<usize> {
+        let j = match shard.streams.first() {
+            Some(s) => self.super_of_stream.get(s.index()),
+            None => shard
+                .users
+                .first()
+                .and_then(|u| self.super_of_user.get(u.index())),
+        };
+        j.copied().filter(|&j| j < self.supers.len())
+    }
+}
+
+/// One solved super-shard. The entry carries both the finished assignment
+/// (reused wholesale when the super-shard is clean) and the inner-shard
+/// solutions (reused one by one inside a *dirty* super-shard whose fresh
+/// plan reproduces an inner shard's `(membership, content, share)` key).
+#[derive(Clone, Debug)]
+struct SuperEntry {
+    streams: Vec<StreamId>,
+    users: Vec<UserId>,
+    /// The water-filled share the entry was solved under.
+    share: Vec<f64>,
+    /// The bound under the FULL budgets (water-fill weight and the only
+    /// per-shard certificate term).
+    bound: f64,
+    /// The per-super tail's merged, repaired, filled assignment (sub-local
+    /// ids) at depth 2. `None` at depth 1, where the single inner
+    /// solution is merged unchanged.
+    finished: Option<Assignment>,
+    /// Counters of the entry's inner level, folded into every outcome that
+    /// reuses it.
+    num_inner: usize,
+    largest_inner: usize,
+    inner_cut_edges: usize,
+    inner_cut_mass: f64,
+    repaired: usize,
+    inner: Vec<InnerEntry>,
+    /// `true` when any inner solve was skipped by a budget trip. Stale
+    /// entries never match as clean, so the next affordable apply solves
+    /// them again.
+    stale: bool,
+}
+
+/// One inner-shard solve, keyed by the triple that fully determines its
+/// sub-instance (up to the name, which is a label): global membership,
+/// member content, and the share it ran under. Ids are global so the key
+/// survives re-planning of its super-shard.
+#[derive(Clone, Debug)]
+struct InnerEntry {
+    streams: Vec<StreamId>,
+    users: Vec<UserId>,
+    share: Vec<f64>,
+    /// The inner-local solution.
+    local: Assignment,
+    /// `true` when `local` is a budget-skip fallback rather than a fresh
+    /// solve (never reused as a hit).
+    stale: bool,
+}
+
+/// What [`solve_tree`] produced: a solved tree, or the signal that a hard
+/// budget trip shed the solve ([`DegradeAction::ShedToCache`]).
+pub(crate) enum TreeSolve {
+    Solved(Box<SolvedTree>),
+    Shed { soft_tripped: bool },
+}
+
+/// A solved tree: the certified outcome (with `updates_applied = 0`), the
+/// assignment, the cache to commit, and the values only
+/// [`ShardedOutcome`] or the engine's metrics report.
+pub(crate) struct SolvedTree {
+    pub outcome: IngestOutcome,
+    pub assignment: Assignment,
+    pub cache: TreeCache,
+    pub largest_shard: usize,
+    pub skew_ratio: f64,
+    /// Inner-cache hits and misses (both 0 at depth 1).
+    pub inner_cache: (u64, u64),
+}
+
+/// `x / upper_bound`, or 0 when the bound is 0 or not finite.
+fn bound_fraction(x: f64, upper_bound: f64) -> f64 {
+    if upper_bound.is_finite() && upper_bound > 0.0 {
+        x / upper_bound
+    } else {
+        0.0
+    }
+}
+
+/// Work units of one shard solve: streams × users, floored at one so even
+/// degenerate shards register against a work budget.
+fn work_units(streams: usize, users: usize) -> u64 {
+    (streams as u64).saturating_mul(users as u64).max(1)
+}
+
+/// The one sharded solve behind [`solve_sharded`] and the ingest engine:
+/// top-level partition ([`HierarchicalSharding`]), reuse of clean cached
+/// super-shards and inner shards, one chunked solve loop over everything
+/// else, per-super tails (depth 2 only), merge, global repair and fill.
+///
+/// A super-shard is *clean* when its membership, its content (no touched
+/// member) and its water-filled share are unchanged and its cached solve
+/// was not skipped; its finished assignment and counters are then reused
+/// wholesale, and its bound too unless a budget was touched. Inside a dirty
+/// super-shard, an inner shard whose `(global membership, untouched
+/// content, share)` key matches a fresh cached entry skips its solve. When
+/// the dirty fraction or the cut fraction exceeds the configured trigger,
+/// nothing is reused.
+///
+/// Shard solves run in chunks with `budget` checked at each chunk
+/// boundary, never mid-kernel: one chunk holding the whole batch when the
+/// budget is unlimited, `mmd_par::resolve(threads)` shards otherwise. A
+/// skipped solve falls back to the membership-identical cached local (or
+/// an empty one), which reaches the global repair unrepaired; its fresh
+/// bound stays in the certificate, so the bracket is sound either way.
+///
+/// The certificate is the top level's alone: full-budget super bounds +
+/// the top-level cut mass + quantization mass (see the module docs).
+pub(crate) fn solve_tree(
+    instance: &Instance,
+    config: &IngestConfig,
+    budget: SolveBudget,
+    started: Instant,
+    cache: &TreeCache,
+    touched: &Touched,
+) -> Result<TreeSolve, SolveError> {
+    let shard_config = &config.shard;
+    let two_level = shard_config.super_shards > 1;
+    let threads = shard_config.threads;
+    let governed = !budget.is_unlimited();
+    let supers = HierarchicalSharding::partition(instance, shard_config);
+    let n = supers.num_shards();
+
+    let untouched = |streams: &[StreamId], users: &[UserId]| {
+        !streams.iter().any(|s| touched.streams[s.index()])
+            && !users.iter().any(|u| touched.users[u.index()])
+    };
+    // `candidate` keeps the raw match even when the super-shard is dirty:
+    // inner-level reuse and the stale fallback look in it.
+    let candidate: Vec<Option<usize>> = supers.shards.iter().map(|s| cache.candidate(s)).collect();
+    let matched: Vec<Option<usize>> = supers
+        .shards
+        .iter()
+        .zip(&candidate)
+        .map(|(shard, &c)| {
+            c.filter(|&j| {
+                let e = &cache.supers[j];
+                !e.stale
+                    && e.streams == shard.streams
+                    && e.users == shard.users
+                    && untouched(&shard.streams, &shard.users)
+            })
+        })
+        .collect();
+    let h = HierarchicalSharding::with_bounds(instance, shard_config, supers, |k| {
+        matched[k]
+            .filter(|_| !touched.budgets)
+            .map(|j| cache.supers[j].bound)
+    });
+
+    // Dirty = content changed, or the water-fill moved the share.
+    let pre_dirty: Vec<bool> = (0..n)
+        .map(|k| matched[k].is_none_or(|j| cache.supers[j].share != h.shares[k]))
+        .collect();
+    let dirty_supers = pre_dirty.iter().filter(|&&d| d).count();
+    let upper_bound = h.upper_bound(instance);
+    let dirty_fraction = if n > 0 {
+        dirty_supers as f64 / n as f64
+    } else {
+        0.0
+    };
+    let mut full_resolve = dirty_fraction > config.max_dirty_fraction
+        || bound_fraction(h.supers.cut_mass, upper_bound) > config.max_cut_fraction;
+    let mut deferred_full = false;
+    if full_resolve && governed {
+        // DeferFull rung of the ladder: when the escalated full re-solve
+        // cannot fit the budget, stay incremental and ask background
+        // maintenance to catch up instead.
+        let full_work: u64 = h
+            .supers
+            .shards
+            .iter()
+            .map(|s| work_units(s.streams.len(), s.users.len()))
+            .sum();
+        let elapsed = started.elapsed();
+        if budget.trips_soft(elapsed, 0, full_work) || budget.trips_hard(elapsed, 0, full_work) {
+            full_resolve = false;
+            deferred_full = true;
+        }
+    }
+    let dirty: Vec<bool> = pre_dirty.iter().map(|&d| d || full_resolve).collect();
+    let dirty_idx: Vec<usize> = (0..n).filter(|&k| dirty[k]).collect();
+
+    // Dense local index of every stream within its super-shard, so every
+    // per-shard build costs O(shard) instead of O(instance).
     let mut local_of_stream = vec![0usize; instance.num_streams()];
     for shard in &h.supers.shards {
         for (li, &s) in shard.streams.iter().enumerate() {
             local_of_stream[s.index()] = li;
         }
     }
-    // Plans are independent per super-shard: fan them out on the same
-    // worker budget as the solves (input-ordered, so fully deterministic).
-    let plans: Vec<SuperPlan> = mmd_par::parallel_map(config.threads, &h.shares, |k, share| {
-        plan_super(instance, &h.supers, &local_of_stream, k, share, config)
+    let plans: Vec<Option<SuperPlan>> = mmd_par::parallel_map(threads, &dirty_idx, |_, &k| {
+        two_level.then(|| {
+            plan_super(
+                instance,
+                &h.supers,
+                &local_of_stream,
+                k,
+                &h.shares[k],
+                shard_config,
+            )
+        })
     });
 
-    // Flatten every (super, inner) pair into one global batch. This is
-    // what removes the head-bound fan-out: a worker finishing a small
-    // super-shard's inner solves steals the head's remaining ones.
+    // The inner shards of the dirty super-shards, keyed by global
+    // membership and share: cache hits, or owners of a slot in the solve
+    // batch (their `local` is filled in once the batch has run).
+    let mut inner: Vec<Vec<InnerEntry>> = Vec::with_capacity(plans.len());
     let mut owners: Vec<(usize, usize)> = Vec::new();
-    for (k, plan) in plans.iter().enumerate() {
-        for j in 0..plan.inner.num_shards() {
-            owners.push((k, j));
+    let mut dirty_shards = 0usize;
+    let mut inner_hits = 0usize;
+    for (p, &k) in dirty_idx.iter().enumerate() {
+        let shard = &h.supers.shards[k];
+        let count = plans[p].as_ref().map_or(1, |plan| plan.inner.num_shards());
+        let mut entries = Vec::with_capacity(count);
+        for j in 0..count {
+            let (streams, users, share): (Vec<StreamId>, Vec<UserId>, Vec<f64>) = match &plans[p] {
+                Some(plan) => {
+                    let ish = &plan.inner.shards[j];
+                    (
+                        ish.streams
+                            .iter()
+                            .map(|ls| shard.streams[ls.index()])
+                            .collect(),
+                        ish.users.iter().map(|lu| shard.users[lu.index()]).collect(),
+                        plan.inner_shares[j].clone(),
+                    )
+                }
+                None => (
+                    shard.streams.clone(),
+                    shard.users.clone(),
+                    h.shares[k].clone(),
+                ),
+            };
+            let hit = candidate[k].filter(|_| !full_resolve).and_then(|c| {
+                cache.supers[c].inner.iter().find(|e| {
+                    !e.stale
+                        && e.share == share
+                        && e.streams == streams
+                        && e.users == users
+                        && untouched(&streams, &users)
+                })
+            });
+            let local = match hit {
+                Some(e) => {
+                    inner_hits += 1;
+                    e.local.clone()
+                }
+                None => {
+                    owners.push((p, j));
+                    dirty_shards += usize::from(pre_dirty[k]);
+                    Assignment::new(0)
+                }
+            };
+            entries.push(InnerEntry {
+                streams,
+                users,
+                share,
+                local,
+                stale: false,
+            });
         }
+        inner.push(entries);
     }
-    let sub_instances: Vec<Instance> =
-        mmd_par::parallel_map(config.threads, &owners, |_, &(k, j)| {
-            build_inner_instance(&plans[k], j)
-        });
-    let results = solve_batch(&sub_instances, &config.mmd, config.threads);
+    let subs: Vec<Instance> = mmd_par::parallel_map(threads, &owners, |_, &(p, j)| {
+        let k = dirty_idx[p];
+        match &plans[p] {
+            Some(plan) => build_inner_instance(plan, j),
+            None => build_shard_instance_with(
+                instance,
+                &h.supers.shards[k],
+                &h.shares[k],
+                &format!("{}#shard{k}", instance.name()),
+                &|s| (h.supers.shard_of_stream[s.index()] == k).then(|| local_of_stream[s.index()]),
+            ),
+        }
+    });
 
-    let mut locals: Vec<Vec<Assignment>> = plans
-        .iter()
-        .map(|p| Vec::with_capacity(p.inner.num_shards()))
-        .collect();
-    for (&(k, _), result) in owners.iter().zip(results) {
-        locals[k].push(result?.assignment);
+    // Per-shard solves are independent, so chunking changes no result.
+    let chunk = if governed {
+        mmd_par::resolve(threads).max(1)
+    } else {
+        subs.len().max(1)
+    };
+    let mut solved: Vec<Option<Assignment>> = Vec::with_capacity(subs.len());
+    let mut soft_tripped = false;
+    let mut hard_tripped = false;
+    let mut spent = 0u64;
+    for batch in subs.chunks(chunk) {
+        let next_work: u64 = batch
+            .iter()
+            .map(|s| work_units(s.num_streams(), s.num_users()))
+            .sum();
+        let elapsed = started.elapsed();
+        if !hard_tripped && budget.trips_hard(elapsed, spent, next_work) {
+            hard_tripped = true;
+            match budget.hard_action {
+                DegradeAction::ShedToCache => return Ok(TreeSolve::Shed { soft_tripped }),
+                DegradeAction::DeferFull => deferred_full = true,
+                DegradeAction::WidenGap => {}
+            }
+        }
+        if !soft_tripped && !hard_tripped && budget.trips_soft(elapsed, spent, next_work) {
+            soft_tripped = true;
+        }
+        if soft_tripped || hard_tripped {
+            solved.extend(batch.iter().map(|_| None));
+            continue;
+        }
+        for outcome in solve_batch(batch, &shard_config.mmd, threads) {
+            solved.push(Some(outcome?.assignment));
+        }
+        spent = spent.saturating_add(next_work);
     }
-    // The per-super tails (merge, repair, fill against the sub-instance)
-    // are independent too.
+
+    let mut skipped_shards = 0usize;
+    for (&(p, j), result) in owners.iter().zip(solved) {
+        let slot = &mut inner[p][j];
+        slot.local = match result {
+            Some(local) => local,
+            None => {
+                skipped_shards += 1;
+                slot.stale = true;
+                candidate[dirty_idx[p]]
+                    .and_then(|c| {
+                        cache.supers[c]
+                            .inner
+                            .iter()
+                            .find(|e| e.streams == slot.streams && e.users == slot.users)
+                    })
+                    .map_or_else(|| Assignment::new(slot.users.len()), |e| e.local.clone())
+            }
+        };
+    }
     let idx: Vec<usize> = (0..plans.len()).collect();
-    let finished: Vec<(Assignment, usize)> =
-        mmd_par::parallel_map(config.threads, &idx, |_, &k| {
-            finish_super(&plans[k], &locals[k], config.global_fill)
+    let finished: Vec<Option<(Assignment, usize)>> =
+        mmd_par::parallel_map(threads, &idx, |_, &p| {
+            plans[p]
+                .as_ref()
+                .map(|plan| finish_super(plan, &inner[p], shard_config.global_fill))
         });
 
+    // Rebuild the cache — dirty super-shards from their fresh solves, clean
+    // ones wholesale — while merging in super-shard order.
     let mut merged = Assignment::for_instance(instance);
     let mut num_shards = 0usize;
     let mut largest_shard = 0usize;
     let mut cut_edges = h.supers.cut.len();
     let mut cut_mass = h.supers.cut_mass;
     let mut repaired_streams = 0usize;
-    for ((shard, plan), (local, repaired)) in h.supers.shards.iter().zip(&plans).zip(finished) {
-        num_shards += plan.inner.num_shards();
-        largest_shard = largest_shard.max(plan.inner.largest_shard_streams());
-        cut_edges += plan.inner.cut.len();
-        cut_mass += plan.inner.cut_mass;
-        repaired_streams += repaired;
-        for (lu, &gu) in shard.users.iter().enumerate() {
+    let mut skipped_bound = 0.0f64;
+    let mut entries: Vec<SuperEntry> = Vec::with_capacity(n);
+    let mut fresh = plans.iter().zip(finished).zip(inner);
+    for k in 0..n {
+        let entry = if dirty[k] {
+            let ((plan, finished), inner) = fresh.next().expect("one solve per dirty super-shard");
+            let shard = &h.supers.shards[k];
+            let stale = inner.iter().any(|e| e.stale);
+            if stale {
+                skipped_bound += h.bounds[k];
+            }
+            let (finished, repaired) = finished.map_or((None, 0), |(a, r)| (Some(a), r));
+            SuperEntry {
+                streams: shard.streams.clone(),
+                users: shard.users.clone(),
+                share: h.shares[k].clone(),
+                bound: h.bounds[k],
+                finished,
+                num_inner: plan.as_ref().map_or(1, |pl| pl.inner.num_shards()),
+                largest_inner: plan
+                    .as_ref()
+                    .map_or(shard.streams.len(), |pl| pl.inner.largest_shard_streams()),
+                inner_cut_edges: plan.as_ref().map_or(0, |pl| pl.inner.cut.len()),
+                inner_cut_mass: plan.as_ref().map_or(0.0, |pl| pl.inner.cut_mass),
+                repaired,
+                inner,
+                stale,
+            }
+        } else {
+            let mut entry =
+                cache.supers[matched[k].expect("clean super-shards are matched")].clone();
+            entry.bound = h.bounds[k];
+            entry
+        };
+        num_shards += entry.num_inner;
+        largest_shard = largest_shard.max(entry.largest_inner);
+        cut_edges += entry.inner_cut_edges;
+        cut_mass += entry.inner_cut_mass;
+        repaired_streams += entry.repaired;
+        let local = entry.finished.as_ref().unwrap_or(&entry.inner[0].local);
+        for (lu, &gu) in entry.users.iter().enumerate() {
             for ls in local.streams_of(UserId::new(lu)) {
-                merged.assign(gu, shard.streams[ls.index()]);
+                merged.assign(gu, entry.streams[ls.index()]);
             }
         }
+        entries.push(entry);
     }
 
     repaired_streams += repair_budgets(instance, &mut merged);
-    if config.global_fill && merged.check_feasible(instance).is_ok() {
+    if shard_config.global_fill && merged.check_feasible(instance).is_ok() {
         residual_fill(instance, &mut merged);
     }
-
     let utility = merged.utility(instance);
-    // Super-level certificate plus the compact-lane quantization margin
-    // (0 in exact mode), mirroring the single-level path.
-    let upper_bound = h.upper_bound(instance);
-    let gap_fraction = if upper_bound.is_finite() && upper_bound > 0.0 {
-        ((upper_bound - utility) / upper_bound).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
     debug_assert!(
         merged.check_feasible(instance).is_ok(),
-        "two-level output must be feasible: {:?}",
+        "sharded output must be feasible: {:?}",
         merged.check_feasible(instance)
     );
-    Ok(ShardedOutcome {
-        assignment: merged,
+
+    let resolved_shards = owners.len() - skipped_shards;
+    let resolved_supers = dirty_idx.len();
+    // Single-level outcomes report no super level and no inner cache.
+    let depth2 = |v: usize| if two_level { v } else { 0 };
+    let outcome = IngestOutcome {
+        updates_applied: 0,
+        num_shards,
+        dirty_shards,
+        resolved_shards,
+        super_shards: depth2(n),
+        dirty_supers: depth2(dirty_supers),
+        resolved_supers: depth2(resolved_supers),
+        full_resolve,
         utility,
         upper_bound,
-        gap_fraction,
-        num_shards,
-        largest_shard,
+        gap_fraction: bound_fraction(upper_bound - utility, upper_bound).clamp(0.0, 1.0),
         cut_edges,
         cut_mass,
         repaired_streams,
-        skew_ratio: h.supers.skew_ratio(),
-    })
+        degraded: soft_tripped || hard_tripped || deferred_full,
+        soft_tripped,
+        hard_tripped,
+        skipped_shards,
+        stale: false,
+        stale_gap_fraction: bound_fraction(skipped_bound, upper_bound).clamp(0.0, 1.0),
+        deferred_full,
+    };
+    let skew_ratio = h.supers.skew_ratio();
+    Ok(TreeSolve::Solved(Box::new(SolvedTree {
+        outcome,
+        assignment: merged,
+        cache: TreeCache {
+            supers: entries,
+            super_of_stream: h.supers.shard_of_stream,
+            super_of_user: h.supers.shard_of_user,
+        },
+        largest_shard,
+        skew_ratio,
+        inner_cache: (depth2(inner_hits) as u64, depth2(resolved_shards) as u64),
+    })))
 }
 
 /// The global repair pass: while some server budget is violated, drop the

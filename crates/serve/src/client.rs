@@ -74,6 +74,10 @@ impl WireClient {
     /// Propagates the connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let writer = TcpStream::connect(addr)?;
+        // Every request is one small frame followed by a blocking read of
+        // the reply, so there is nothing for Nagle's algorithm to coalesce:
+        // left on, it holds a frame back until the server's delayed ACK.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(WireClient { reader, writer })
     }
@@ -87,8 +91,10 @@ impl WireClient {
     /// [`ClientError::Io`] / [`ClientError::Closed`] only; the response
     /// line is returned verbatim even if it is an error frame.
     pub fn raw_line(&mut self, line: &str) -> Result<String, ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes())?;
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {
             return Err(ClientError::Closed);

@@ -293,3 +293,28 @@ fn scheduled_resolve_runs_in_the_background_and_changes_nothing() {
     drop(client);
     handle.join();
 }
+
+/// A request costs one loopback round trip, not a delayed-ACK timeout:
+/// each frame leaves the client in one segment, without waiting on Nagle's
+/// algorithm for the server's ACK (about 40 ms per request otherwise).
+#[test]
+fn sequential_health_round_trips_stay_under_ten_ms() {
+    let instance = ClusteredConfig::decomposable(2, 3, 2).generate(3);
+    let (handle, mut client) = spawn_daemon(&instance, ServeConfig::default());
+    let mut rtts: Vec<std::time::Duration> = (0..32)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            client.health().expect("health");
+            start.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let p50 = rtts[rtts.len() / 2];
+    assert!(
+        p50 < std::time::Duration::from_millis(10),
+        "p50 health round trip {p50:?} (all: {rtts:?})"
+    );
+    client.shutdown().expect("shutdown");
+    drop(client);
+    handle.join();
+}
