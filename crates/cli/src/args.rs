@@ -230,7 +230,10 @@ USAGE:
   serve runs the long-lived allocation daemon: newline-delimited JSON over
   TCP (update batches, apply, queries, certified bracket, health/metrics,
   admissions, graceful background re-solve; see docs/PROTOCOL.md). It
-  blocks until a {\"op\":\"shutdown\"} frame arrives.
+  blocks until a {\"op\":\"shutdown\"} frame arrives. --queue N bounds
+  the request queue (default 64; a full queue answers `overloaded`);
+  --max-batch N caps the updates in one `update` frame (default 1024) and
+  request lines at 256 bytes per update plus 4096.
   client sends one frame (--send) or every stdin line to a running daemon
   and prints the response frames.
   mmd-cli help

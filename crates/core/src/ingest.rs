@@ -81,8 +81,8 @@
 //!
 //! # Admission between re-solves
 //!
-//! [`provisional_admissions`](IngestEngine::provisional_admissions) runs
-//! the §5 [`OnlineAllocator`] (Algorithm 2) over the pending updates:
+//! [`IngestSnapshot::provisional_admissions`] runs the §5
+//! [`OnlineAllocator`] (Algorithm 2) over updates not yet applied:
 //! warm-started from the committed assignment via
 //! [`preload`](OnlineAllocator::preload), it decides each pending arrival
 //! by the exponential-cost rule, giving an immediate, feasibility-safe
@@ -1079,29 +1079,6 @@ impl IngestEngine {
         m.total_apply_nanos = m.total_apply_nanos.saturating_add(nanos);
     }
 
-    /// Runs the §5 online allocator over the pending updates: warm-started
-    /// from the committed assignment, each pending [`Update::StreamArrival`]
-    /// is offered (in queue order) and decided by the exponential-cost
-    /// rule. Purely advisory — the committed state is untouched, and the
-    /// next [`apply`](Self::apply) supersedes the provisional decisions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stateful validation errors from the pending batch and
-    /// [`SolveError`]s from the allocator's normalization.
-    pub fn provisional_admissions(
-        &self,
-        config: OnlineConfig,
-    ) -> Result<Vec<OfferOutcome>, IngestError> {
-        provisional_admissions_over(
-            &self.base,
-            &self.model,
-            &self.assignment,
-            &self.pending,
-            config,
-        )
-    }
-
     /// An owned, immutable view of the committed state, stamped with
     /// `epoch` — what the async apply path publishes after each commit so
     /// queries never wait on an in-flight re-solve.
@@ -1153,49 +1130,6 @@ impl IngestEngine {
         self.last = outcome;
         Ok(Resolved::Committed(outcome))
     }
-}
-
-/// The shared §5 preview behind
-/// [`IngestEngine::provisional_admissions`] and
-/// [`IngestSnapshot::provisional_admissions`]: applies `pending` to a
-/// scratch copy of `model`, materializes the preview (with orphaned
-/// streams zeroed), and offers each pending arrival to a warm-started
-/// [`OnlineAllocator`].
-fn provisional_admissions_over(
-    base: &Instance,
-    model: &Model,
-    assignment: &Assignment,
-    pending: &[Update],
-    config: OnlineConfig,
-) -> Result<Vec<OfferOutcome>, IngestError> {
-    let mut scratch = model.clone();
-    let mut touched = Touched::new(base.num_streams(), base.num_users());
-    let mut arrivals = Vec::new();
-    for update in pending {
-        scratch.apply(base, update, &mut touched)?;
-        if let Update::StreamArrival(s) = *update {
-            arrivals.push(s);
-        }
-    }
-    let mut preview = scratch.materialize(base)?;
-    // Audience-less live streams (every interest churned away) would
-    // fail the eq.-(1) normalization; they can never be assigned, so
-    // zeroing their costs changes no decision.
-    let orphans: Vec<StreamId> = preview
-        .streams()
-        .filter(|&s| preview.audience(s).is_empty() && preview.costs(s).iter().any(|&c| c > 0.0))
-        .collect();
-    if !orphans.is_empty() {
-        let mut no_cost = scratch.clone();
-        for s in &orphans {
-            no_cost.live[s.index()] = false;
-        }
-        preview = no_cost.materialize(base)?;
-    }
-    let mut allocator =
-        OnlineAllocator::with_config(&preview, config).map_err(IngestError::Solve)?;
-    allocator.preload(assignment);
-    Ok(arrivals.into_iter().map(|s| allocator.offer(s)).collect())
 }
 
 /// An owned, immutable view of an engine's committed state, stamped with
@@ -1267,11 +1201,14 @@ impl IngestSnapshot {
         Universe::of(&self.base)
     }
 
-    /// The §5 online preview over this snapshot: `pending` updates that
-    /// have not reached the engine yet are applied to a scratch model and
-    /// each pending arrival is offered to a warm-started allocator —
-    /// identical to [`IngestEngine::provisional_admissions`] over the same
-    /// committed state and pending queue.
+    /// The §5 online preview over this snapshot: runs the
+    /// [`OnlineAllocator`] over `pending` updates that have not reached the
+    /// engine yet. They are applied to a scratch copy of the model, the
+    /// preview is materialized (with orphaned streams zeroed), and each
+    /// pending [`Update::StreamArrival`] is offered, in queue order, to an
+    /// allocator warm-started from the committed assignment and decided by
+    /// the exponential-cost rule. Purely advisory — the committed state is
+    /// untouched, and the next apply supersedes the provisional decisions.
     ///
     /// # Errors
     ///
@@ -1282,7 +1219,36 @@ impl IngestSnapshot {
         pending: &[Update],
         config: OnlineConfig,
     ) -> Result<Vec<OfferOutcome>, IngestError> {
-        provisional_admissions_over(&self.base, &self.model, &self.assignment, pending, config)
+        let mut scratch = self.model.clone();
+        let mut touched = Touched::new(self.base.num_streams(), self.base.num_users());
+        let mut arrivals = Vec::new();
+        for update in pending {
+            scratch.apply(&self.base, update, &mut touched)?;
+            if let Update::StreamArrival(s) = *update {
+                arrivals.push(s);
+            }
+        }
+        let mut preview = scratch.materialize(&self.base)?;
+        // Audience-less live streams (every interest churned away) would
+        // fail the eq.-(1) normalization; they can never be assigned, so
+        // zeroing their costs changes no decision.
+        let orphans: Vec<StreamId> = preview
+            .streams()
+            .filter(|&s| {
+                preview.audience(s).is_empty() && preview.costs(s).iter().any(|&c| c > 0.0)
+            })
+            .collect();
+        if !orphans.is_empty() {
+            let mut no_cost = scratch.clone();
+            for s in &orphans {
+                no_cost.live[s.index()] = false;
+            }
+            preview = no_cost.materialize(&self.base)?;
+        }
+        let mut allocator =
+            OnlineAllocator::with_config(&preview, config).map_err(IngestError::Solve)?;
+        allocator.preload(&self.assignment);
+        Ok(arrivals.into_iter().map(|s| allocator.offer(s)).collect())
     }
 }
 
@@ -1614,7 +1580,10 @@ mod tests {
         eng.push(Update::StreamDeparture(sid(0))).unwrap();
         eng.apply().unwrap();
         eng.push(Update::StreamArrival(sid(0))).unwrap();
-        let offers = eng.provisional_admissions(OnlineConfig::default()).unwrap();
+        let offers = eng
+            .snapshot(0)
+            .provisional_admissions(eng.pending(), OnlineConfig::default())
+            .unwrap();
         assert_eq!(offers.len(), 1);
         assert_eq!(offers[0].stream, sid(0));
         assert!(

@@ -1,17 +1,18 @@
 //! `mmd-serve`: a long-lived allocation daemon in front of the incremental
 //! ingest engine.
 //!
-//! The binary wraps an [`IngestEngine`](mmd_core::IngestEngine) in a TCP
+//! The daemon wraps an [`IngestEngine`](mmd_core::IngestEngine) in a TCP
 //! server speaking a newline-delimited JSON protocol: typed update batches,
 //! allocation queries, certified `utility ≤ OPT ≤ upper_bound` bracket
 //! queries, health/metrics endpoints, provisional admission control between
 //! re-solves, and a graceful background full re-solve. The wire format is
 //! specified in `docs/PROTOCOL.md`; the crate layout and dataflow in
-//! `docs/ARCHITECTURE.md`.
+//! `docs/ARCHITECTURE.md`. `mmd-cli serve` launches it from the command
+//! line.
 //!
 //! * [`protocol`] — frame types, canonical printing, strict parsing.
-//! * [`service`] — the request handler owning the engine (single-threaded,
-//!   hence deterministic).
+//! * [`service`] — the request handler (single-threaded, hence
+//!   deterministic) in front of the engine's background solver thread.
 //! * [`server`] — the daemon: accept loop, bounded queue, engine thread.
 //! * [`client`] — a blocking line-protocol client.
 //!

@@ -18,11 +18,16 @@
 //! engine thread runs [`Service::idle`], which performs the scheduled
 //! graceful background full re-solve.
 //!
-//! With the default asynchronous backend the engine thread never blocks on
-//! a re-solve: an `apply` comes back as a *deferred* epoch, and the
-//! connection handler that submitted it waits for the commit on its own
-//! thread while the engine keeps answering other clients' frames (health,
-//! queries, more updates) against the last committed snapshot.
+//! The engine thread never blocks on a re-solve: an `apply` comes back as
+//! a *deferred* epoch, and the connection handler that submitted it waits
+//! for the commit on its own thread while the engine keeps answering other
+//! clients' frames (health, queries, more updates) against the last
+//! committed snapshot.
+//!
+//! A request line may be at most `256 × max_batch + 4096` bytes (see
+//! [`ServeConfig::max_batch`](crate::ServeConfig::max_batch)): a handler
+//! never buffers more than that per line. A longer line gets one
+//! `invalid` error frame, and that connection is closed.
 //!
 //! Shutdown: a `shutdown` frame drains the service (subsequent requests
 //! answer `unavailable`), stops the accept loop, and [`ServerHandle::join`]
@@ -33,25 +38,35 @@
 use crate::protocol::{parse_request, print_response, ErrorCode, Request, Response};
 use crate::service::{resolve_deferred, Handled, ServeCounters, Service};
 use mmd_core::ApplyWaiter;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// One queued request and the channel the engine's verdict goes back on.
+/// One queued request and the channel the engine's verdict goes back on:
+/// a finished response, or an epoch the *connection handler* waits on (so
+/// the engine thread keeps acking frames while the re-solve runs).
 struct Job {
     request: Request,
-    reply: SyncSender<EngineReply>,
+    reply: SyncSender<Handled>,
 }
 
-/// What the engine thread sends back per request: a finished response, or
-/// an epoch the *connection handler* waits on (so the engine thread keeps
-/// acking frames while the asynchronous re-solve runs).
-enum EngineReply {
-    Now(Box<Response>),
-    Deferred(u64),
+/// Bytes one update may take on the wire, with room for whitespace and
+/// long float spellings; the largest encoded update is under 100 bytes.
+const UPDATE_BYTES: usize = 256;
+
+/// Line allowance beyond the updates: the `update` frame's own keys, and
+/// every other request, whose size does not grow with the instance.
+const FRAME_SLACK_BYTES: usize = 4096;
+
+/// The longest request line a connection handler reads, without its
+/// newline: a full `max_batch` update frame plus framing slack.
+fn max_line_bytes(max_batch: usize) -> usize {
+    max_batch
+        .saturating_mul(UPDATE_BYTES)
+        .saturating_add(FRAME_SLACK_BYTES)
 }
 
 /// A running daemon: join handles plus the bound address.
@@ -102,6 +117,7 @@ pub fn spawn(service: Service, addr: &str) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let counters = service.counters();
     let queue_capacity = service.config().queue_capacity;
+    let max_line = max_line_bytes(service.config().max_batch);
     // Taken before the service moves onto the engine thread; handlers use
     // it to resolve deferred apply replies without blocking the engine.
     let waiter = service.apply_waiter();
@@ -124,7 +140,7 @@ pub fn spawn(service: Service, addr: &str) -> std::io::Result<ServerHandle> {
                 let stop = Arc::clone(&stop);
                 let waiter = waiter.clone();
                 handlers.push(std::thread::spawn(move || {
-                    handle_connection(stream, &tx, &counters, &stop, addr, waiter.as_ref());
+                    handle_connection(stream, &tx, &counters, &stop, addr, &waiter, max_line);
                 }));
             }
             // `tx` drops here; the engine loop ends once every handler's
@@ -164,31 +180,43 @@ fn engine_loop(mut service: Service, rx: &Receiver<Job>) -> Service {
             Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
         };
         counters.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let reply = match service.handle_detached(&job.request) {
-            Handled::Now(response) => EngineReply::Now(response),
-            Handled::Deferred(epoch) => EngineReply::Deferred(epoch),
-        };
-        let _ = job.reply.send(reply);
+        let _ = job.reply.send(service.handle_detached(&job.request));
     }
     service
 }
 
-/// One connection: read a line, answer a line, until EOF or shutdown.
+/// One connection: read a line, answer a line, until EOF, shutdown or a
+/// line longer than `max_line` bytes.
 fn handle_connection(
     stream: TcpStream,
     tx: &SyncSender<Job>,
     counters: &ServeCounters,
     stop: &AtomicBool,
     addr: SocketAddr,
-    waiter: Option<&ApplyWaiter>,
+    waiter: &ApplyWaiter,
+    max_line: usize,
 ) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut writer = stream;
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    loop {
+        let line = match read_line(&mut reader, max_line) {
+            Line::Frame(line) => line,
+            Line::Closed => break,
+            Line::TooLong => {
+                counters.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                let frame = Response::Error {
+                    code: ErrorCode::Invalid,
+                    message: format!(
+                        "request line exceeds {max_line} bytes; closing the connection"
+                    ),
+                };
+                let _ = write_frame(&mut writer, &frame);
+                break;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -217,18 +245,48 @@ fn handle_connection(
     }
 }
 
+/// One read from a connection (see [`read_line`]).
+enum Line {
+    /// A complete line, its `\n` or `\r\n` stripped.
+    Frame(String),
+    /// The line runs past the cap; reading stopped there.
+    TooLong,
+    /// End of stream, a read error, or a line that is not UTF-8.
+    Closed,
+}
+
+/// Reads one line of at most `max_line` bytes, buffering no more than
+/// `max_line + 1`.
+fn read_line(reader: &mut BufReader<TcpStream>, max_line: usize) -> Line {
+    let mut buf = Vec::new();
+    let limit = u64::try_from(max_line).map_or(u64::MAX, |n| n.saturating_add(1));
+    match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return Line::Closed,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > max_line {
+        return Line::TooLong;
+    }
+    String::from_utf8(buf).map_or(Line::Closed, Line::Frame)
+}
+
 /// Forwards one request through the bounded queue and waits for the
 /// engine's reply. A full queue bounces with `overloaded` immediately.
-/// A deferred reply (asynchronous apply) is resolved *here*, on the
+/// A deferred reply (an `apply`) is resolved *here*, on the
 /// connection's own thread, so the engine stays free to ack other frames
 /// while the re-solve is in flight.
 fn dispatch(
     request: Request,
     tx: &SyncSender<Job>,
     counters: &ServeCounters,
-    waiter: Option<&ApplyWaiter>,
+    waiter: &ApplyWaiter,
 ) -> Response {
-    let (reply_tx, reply_rx) = sync_channel::<EngineReply>(1);
+    let (reply_tx, reply_rx) = sync_channel::<Handled>(1);
     counters.queue_depth.fetch_add(1, Ordering::Relaxed);
     let depth = counters.queue_depth.load(Ordering::Relaxed);
     match tx.try_send(Job {
@@ -236,11 +294,8 @@ fn dispatch(
         reply: reply_tx,
     }) {
         Ok(()) => match reply_rx.recv() {
-            Ok(EngineReply::Now(response)) => *response,
-            Ok(EngineReply::Deferred(epoch)) => {
-                let waiter = waiter.expect("deferred replies only come from the async backend");
-                resolve_deferred(waiter, epoch)
-            }
+            Ok(Handled::Now(response)) => *response,
+            Ok(Handled::Deferred(epoch)) => resolve_deferred(waiter, epoch),
             Err(_) => Response::Error {
                 code: ErrorCode::Unavailable,
                 message: "server is shutting down".to_string(),

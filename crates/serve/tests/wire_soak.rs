@@ -15,6 +15,8 @@ use mmd_serve::server::{self, ServerHandle};
 use mmd_serve::service::{ServeConfig, Service};
 use mmd_sim::drive_churn;
 use mmd_workload::{ChurnConfig, ClusteredConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 fn spawn_daemon(instance: &mmd_core::Instance, config: ServeConfig) -> (ServerHandle, WireClient) {
     let service = Service::new(instance.clone(), config).expect("initial solve");
@@ -144,6 +146,48 @@ fn malformed_lines_get_error_frames_and_do_not_kill_the_connection() {
     handle.join();
 }
 
+/// A request line longer than the per-line cap (derived from
+/// `max_batch`) is never buffered whole: it gets one `invalid` error frame
+/// and its connection closes, while other connections keep working.
+#[test]
+fn over_long_request_line_closes_only_its_connection() {
+    let instance = ClusteredConfig::decomposable(2, 3, 2).generate(3);
+    let config = ServeConfig {
+        max_batch: 4,
+        ..ServeConfig::default()
+    };
+    let (handle, mut client) = spawn_daemon(&instance, config);
+
+    // Leading whitespace keeps the line a well-formed `health` frame of any
+    // length; the cap for 4-update batches is a few KiB.
+    let mut line = " ".repeat(1 << 16);
+    line.push_str("{\"op\":\"health\"}\n");
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    // The daemon may close the connection before the whole line is sent.
+    let _ = raw.write_all(line.as_bytes());
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error frame");
+    assert!(
+        reply.starts_with(r#"{"ok":false,"code":"invalid""#),
+        "{reply}"
+    );
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "the connection is closed after the error frame, got {rest:?}"
+    );
+
+    let mut second = WireClient::connect(handle.addr()).expect("connect");
+    assert_eq!(second.health().expect("health").status, "ok");
+    assert_eq!(client.metrics().expect("metrics").frames_rejected, 1);
+
+    client.shutdown().expect("shutdown");
+    drop(client);
+    drop(second);
+    handle.join();
+}
+
 #[test]
 fn concurrent_clients_serialize_through_the_engine() {
     let instance = ClusteredConfig::decomposable(3, 4, 3).generate(9);
@@ -187,16 +231,15 @@ fn concurrent_clients_serialize_through_the_engine() {
     assert_eq!(engine.assignment(), &scratch.assignment);
 }
 
-/// The concurrency-stress rung: with the asynchronous backend, the engine
-/// thread keeps acking observability frames while another client's apply
-/// has a re-solve in flight on the solver thread — and the committed state
+/// The concurrency-stress rung: the engine thread keeps acking
+/// observability frames while another client's apply has a re-solve in
+/// flight on the solver thread — and the committed state
 /// is still bit-identical to a from-scratch solve afterwards.
 #[test]
 fn async_apply_keeps_acking_frames_while_a_resolve_is_in_flight() {
     let instance = ClusteredConfig::decomposable(8, 10, 4).generate(41);
     let config = ServeConfig::default();
     let (handle, mut client) = spawn_daemon(&instance, config);
-    assert!(client.health().expect("health").async_apply);
 
     // A fat departure batch: plenty of dirty shards to re-solve.
     let updates: Vec<Update> = (0..instance.num_streams() / 2)
