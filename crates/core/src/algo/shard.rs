@@ -962,7 +962,9 @@ pub struct ShardedOutcome {
     /// Capped utility of [`Self::assignment`] — the certified lower bound.
     pub utility: f64,
     /// Certified upper bound on the optimum:
-    /// `Σ_k ub(shard_k) + cut_mass` (see the module docs).
+    /// `Σ_k ub(shard_k) + cut_mass + quantization mass`, where the last term
+    /// is [`Instance::quantization_error`] (0 under exact lanes; see the
+    /// module docs).
     pub upper_bound: f64,
     /// Relative optimality gap `(upper_bound − utility) / upper_bound`
     /// (0 when the upper bound is 0).
@@ -1552,7 +1554,161 @@ pub(crate) fn solve_tree(
 /// Returns the number of streams dropped. User capacities are never
 /// violated by shard merges (users are never split across shards), so only
 /// the server side needs repair.
+///
+/// Drops exactly the streams [`repair_budgets_reference`] drops, in the same
+/// order, with bit-identical scores, so both leave the same assignment. A
+/// feasible input costs `O(m·|S(A)|)` and allocates nothing. Otherwise the
+/// set-up is `O(U + E)`: every user's raw utility, a flag per audience pair
+/// of every transmitted stream ("still assigned"), and every stream's score.
+/// Each drop then re-sums the raw utility of the users that lost the stream,
+/// rescans only the audiences of the streams still assigned to one of them
+/// (a stream's loss reads only its assigned audience's raw utility), and
+/// picks the next drop with one `O(|S(A)|)` scan. All scores are recomputed
+/// only when the violated set changes, at most `m` times.
 pub fn repair_budgets(instance: &Instance, assignment: &mut Assignment) -> usize {
+    let mut violated = violated_budgets(instance, assignment);
+    if violated.is_empty() {
+        return 0;
+    }
+    let mut raw: Vec<f64> = instance
+        .users()
+        .map(|u| assignment.user_raw_utility(u, instance))
+        .collect();
+    // The transmitted streams in id order, and per stream a flag lane
+    // parallel to its audience: `assigned[start[s] + k]` is whether the
+    // k-th audience user still receives `s`.
+    let mut live: Vec<StreamId> = assignment.range().collect();
+    let mut start = vec![0usize; instance.num_streams()];
+    let mut assigned = Vec::new();
+    for &s in &live {
+        start[s.index()] = assigned.len();
+        assigned.extend(
+            instance
+                .audience(s)
+                .iter()
+                .map(|&(u, _)| assignment.contains(u, s)),
+        );
+    }
+    let lane = |s: StreamId| start[s.index()]..start[s.index()] + instance.audience(s).len();
+    let mut score: Vec<Option<(u8, f64)>> = vec![None; instance.num_streams()];
+    for &s in &live {
+        score[s.index()] = repair_score(instance, s, &violated, &raw, &assigned[lane(s)]);
+    }
+    // `seen[s] == dropped` marks `s` as already rescored for this drop.
+    let mut seen = vec![0usize; instance.num_streams()];
+    let mut lost = Vec::new();
+    let mut dropped = 0usize;
+    loop {
+        // Ties go to the smallest id via the ascending scan.
+        let mut best: Option<((u8, f64), StreamId)> = None;
+        for &s in &live {
+            let Some(sc) = score[s.index()] else { continue };
+            let better = best.is_none_or(|(bs, _)| sc.0 < bs.0 || (sc.0 == bs.0 && sc.1 < bs.1));
+            if better {
+                best = Some((sc, s));
+            }
+        }
+        let Some((_, s)) = best else {
+            // No stream can relieve the violation (cannot happen for
+            // instances built through the validating builder).
+            return dropped;
+        };
+        lost.clear();
+        for &u in instance.audience_users(s) {
+            let u = UserId::new(u as usize);
+            if assignment.unassign(u, s) {
+                lost.push(u);
+            }
+        }
+        assigned[lane(s)].fill(false);
+        dropped += 1;
+        for &u in &lost {
+            // Re-summed, not decremented: `raw - w` is not bit-exact.
+            raw[u.index()] = assignment.user_raw_utility(u, instance);
+        }
+        if !assignment.in_range(s) {
+            live.retain(|&t| t != s);
+        }
+        let now = violated_budgets(instance, assignment);
+        if now.is_empty() {
+            return dropped;
+        }
+        if now != violated {
+            violated = now;
+            for &t in &live {
+                score[t.index()] = repair_score(instance, t, &violated, &raw, &assigned[lane(t)]);
+            }
+            continue;
+        }
+        let touched = lost.iter().flat_map(|&u| assignment.streams_of(u));
+        for t in std::iter::once(s).chain(touched) {
+            if seen[t.index()] != dropped && assignment.in_range(t) {
+                seen[t.index()] = dropped;
+                score[t.index()] = repair_score(instance, t, &violated, &raw, &assigned[lane(t)]);
+            }
+        }
+    }
+}
+
+/// The server measures whose budget `assignment` violates, in order.
+fn violated_budgets(instance: &Instance, assignment: &Assignment) -> Vec<usize> {
+    (0..instance.num_measures())
+        .filter(|&i| !num::approx_le(assignment.server_cost(i, instance), instance.budget(i)))
+        .collect()
+}
+
+/// One stream's repair score under the `violated` measures, or `None` when
+/// dropping it cannot relieve any violation. Two tiers: streams costing
+/// into a zero budget must go regardless of loss (tier 0, ordered by loss),
+/// everything else is ordered by loss per unit of violating pressure
+/// (tier 1). `assigned` flags which of `instance.audience(s)` still receive
+/// `s`; the loss sums over exact audience pairs, so repair decisions stay
+/// exact in every lane mode.
+fn repair_score(
+    instance: &Instance,
+    s: StreamId,
+    violated: &[usize],
+    raw: &[f64],
+    assigned: &[bool],
+) -> Option<(u8, f64)> {
+    let pressure: f64 = violated
+        .iter()
+        .map(|&i| {
+            let b = instance.budget(i);
+            if b > 0.0 {
+                instance.cost(s, i) / b
+            } else if instance.cost(s, i) > 0.0 {
+                f64::INFINITY
+            } else {
+                0.0
+            }
+        })
+        .sum();
+    if pressure <= 0.0 {
+        return None;
+    }
+    let caps = instance.user_caps();
+    let mut loss = 0.0f64;
+    for (&(u, w), &on) in instance.audience(s).iter().zip(assigned) {
+        if on {
+            let cap = caps[u.index()];
+            let r = raw[u.index()];
+            loss += r.min(cap) - (r - w).min(cap);
+        }
+    }
+    Some(if pressure.is_infinite() {
+        (0u8, loss)
+    } else {
+        (1u8, loss / pressure)
+    })
+}
+
+/// The pre-incremental repair pass, preserved verbatim as the differential
+/// reference for [`repair_budgets`]: every drop recomputes every user's raw
+/// utility and rescans every transmitted stream's audience, so it costs
+/// `O(drops × (U + E))`. The proptests and unit tests assert that both
+/// passes return the same count and leave the same assignment.
+pub fn repair_budgets_reference(instance: &Instance, assignment: &mut Assignment) -> usize {
     let m = instance.num_measures();
     let mut dropped = 0usize;
     loop {
@@ -1839,6 +1995,62 @@ mod tests {
         let mut empty = Assignment::for_instance(&inst);
         assert_eq!(repair_budgets(&inst, &mut empty), 0);
         assert!(empty.is_empty());
+    }
+
+    /// Every interest of `inst` assigned, repaired by both passes: the
+    /// incremental one must match the reference drop for drop.
+    fn repair_both(inst: &Instance) -> (Assignment, usize) {
+        let mut full = Assignment::for_instance(inst);
+        for u in inst.users() {
+            for interest in inst.user(u).interests() {
+                full.assign(u, interest.stream());
+            }
+        }
+        let mut reference = full.clone();
+        let expected = repair_budgets_reference(inst, &mut reference);
+        let dropped = repair_budgets(inst, &mut full);
+        assert_eq!(dropped, expected);
+        assert_eq!(full, reference);
+        (full, dropped)
+    }
+
+    #[test]
+    fn repair_rescores_everything_when_the_violated_set_shrinks() {
+        // Both measures start violated. Dropping s0 relieves measure 1, so
+        // every pressure changes: s1 (loss 1 / pressure ½) now beats s3
+        // (1.5 / ½), although under the stale two-measure pressures s3
+        // (1.5 / 1) would beat s1 (1 / ½). The users are disjoint, so only
+        // the rescore-all path can see the change.
+        let mut b = Instance::builder("shrink").server_budgets(vec![2.0, 2.0]);
+        let costs = [[1.0, 2.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0]];
+        let weights = [1.0, 1.0, 2.0, 1.5];
+        for (c, &w) in costs.iter().zip(&weights) {
+            let s = b.add_stream(c.to_vec());
+            let u = b.add_user(f64::INFINITY, vec![]);
+            b.add_interest(u, s, w, vec![]).unwrap();
+        }
+        let inst = b.build().unwrap();
+        let (repaired, dropped) = repair_both(&inst);
+        assert_eq!(dropped, 2);
+        let kept: Vec<StreamId> = repaired.range().collect();
+        assert_eq!(kept, vec![sid(2), sid(3)]);
+    }
+
+    #[test]
+    fn repair_breaks_score_ties_by_smallest_id() {
+        // s1 and s2 tie on loss per pressure (both 1 / ½); the smaller id
+        // goes first and its drop already restores the budget.
+        let mut b = Instance::builder("tie").server_budgets(vec![2.0]);
+        for w in [5.0, 1.0, 1.0] {
+            let s = b.add_stream(vec![1.0]);
+            let u = b.add_user(f64::INFINITY, vec![]);
+            b.add_interest(u, s, w, vec![]).unwrap();
+        }
+        let inst = b.build().unwrap();
+        let (repaired, dropped) = repair_both(&inst);
+        assert_eq!(dropped, 1);
+        let kept: Vec<StreamId> = repaired.range().collect();
+        assert_eq!(kept, vec![sid(0), sid(2)]);
     }
 
     #[test]

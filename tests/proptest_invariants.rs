@@ -2,7 +2,9 @@
 //! instances.
 
 use mmd::core::algo::reduction::{interval_partition, residual_fill, solve_mmd, MmdConfig};
-use mmd::core::algo::shard::{shard_instance, solve_sharded, ShardConfig};
+use mmd::core::algo::shard::{
+    repair_budgets, repair_budgets_reference, shard_instance, solve_sharded, ShardConfig,
+};
 use mmd::core::algo::{self, Feasibility};
 use mmd::core::coverage;
 use mmd::core::{Assignment, Instance, StreamId, UserId};
@@ -43,6 +45,97 @@ fn smd_instance() -> impl Strategy<Value = Instance> {
             }
             b.build().unwrap()
         })
+}
+
+/// Strategy: a small random multi-budget instance plus the assignment that
+/// gives every interest — the input shape of the global repair pass. It
+/// covers 1–3 server measures, zero budgets (their positive-cost streams
+/// take the tier-0 infinite-pressure path), zero-cost streams (pressure 0,
+/// never dropped) and both finite and infinite user caps.
+fn repair_case() -> impl Strategy<Value = (Instance, Assignment)> {
+    (1usize..4, 2usize..12, 1usize..8, any::<u64>()).prop_map(|(m, ns, nu, seed)| {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 11) as f64 / (1u64 << 53) as f64).clamp(0.0, 1.0)
+        };
+        let zero_budget: Vec<bool> = (0..m).map(|_| next() < 0.25).collect();
+        let costs: Vec<Vec<f64>> = (0..ns)
+            .map(|_| {
+                let free = next() < 0.2;
+                zero_budget
+                    .iter()
+                    .map(|&zero| match (free, zero) {
+                        (true, _) => 0.0,
+                        // Within the builder's tolerance of a zero budget,
+                        // but three of them together violate it.
+                        (false, true) if next() < 0.6 => 4e-10,
+                        (false, true) => 0.0,
+                        (false, false) => 0.5 + 4.0 * next(),
+                    })
+                    .collect()
+            })
+            .collect();
+        let budgets: Vec<f64> = (0..m)
+            .map(|i| {
+                if zero_budget[i] {
+                    return 0.0;
+                }
+                let total: f64 = costs.iter().map(|c| c[i]).sum();
+                let max = costs.iter().map(|c| c[i]).fold(0.0, f64::max);
+                (total * (0.2 + 0.7 * next())).max(max)
+            })
+            .collect();
+        let mut b = Instance::builder("repair").server_budgets(budgets);
+        let streams: Vec<StreamId> = costs.into_iter().map(|c| b.add_stream(c)).collect();
+        for _ in 0..nu {
+            let cap = if next() < 0.3 {
+                f64::INFINITY
+            } else {
+                1.0 + 6.0 * next()
+            };
+            let u = b.add_user(cap, vec![]);
+            for &s in &streams {
+                if next() < 0.5 {
+                    b.add_interest(u, s, 0.2 + 3.0 * next(), vec![]).unwrap();
+                }
+            }
+        }
+        let inst = b.build().unwrap();
+        let mut everything = Assignment::for_instance(&inst);
+        for u in inst.users() {
+            for interest in inst.user(u).interests() {
+                everything.assign(u, interest.stream());
+            }
+        }
+        (inst, everything)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The incremental global repair drops exactly what the full-rescan
+    /// reference drops: same count, same final assignment, and every
+    /// server budget restored.
+    #[test]
+    fn repair_budgets_matches_reference((inst, start) in repair_case()) {
+        let mut reference = start.clone();
+        let expected = repair_budgets_reference(&inst, &mut reference);
+        let mut repaired = start;
+        let dropped = repair_budgets(&inst, &mut repaired);
+        prop_assert_eq!(dropped, expected);
+        prop_assert_eq!(&repaired, &reference);
+        for i in 0..inst.num_measures() {
+            let cost = repaired.server_cost(i, &inst);
+            prop_assert!(
+                mmd::core::num::approx_le(cost, inst.budget(i)),
+                "measure {} still over budget: {} > {}", i, cost, inst.budget(i)
+            );
+        }
+    }
 }
 
 proptest! {
