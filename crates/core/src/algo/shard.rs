@@ -199,7 +199,9 @@ pub struct CutInterest {
 pub struct Sharding {
     /// The shards; every stream and every user appears in exactly one.
     pub shards: Vec<Shard>,
-    /// Interests whose endpoints landed in different shards.
+    /// Exactly the interests whose user and stream landed in different
+    /// shards, in `(user, stream)` order. Each is an interest the splitter
+    /// could not merge under the cap; no other interest crosses shards.
     pub cut: Vec<CutInterest>,
     /// Total utility of the cut interests (`Σ w_u(S)` over [`Self::cut`]).
     pub cut_mass: f64,
@@ -233,13 +235,18 @@ impl Sharding {
     /// triggers head-splitting ([`ShardConfig::head_split_skew`]).
     #[must_use]
     pub fn skew_ratio(&self) -> f64 {
-        let total: usize = self.shards.iter().map(|s| s.streams.len()).sum();
-        if self.shards.is_empty() || total == 0 {
-            return 0.0;
-        }
-        let mean = total as f64 / self.shards.len() as f64;
-        self.largest_shard_streams() as f64 / mean
+        skew_ratio(&self.shards)
     }
+}
+
+/// [`Sharding::skew_ratio`] of a bare shard list.
+fn skew_ratio(shards: &[Shard]) -> f64 {
+    let total: usize = shards.iter().map(|s| s.streams.len()).sum();
+    if shards.is_empty() || total == 0 {
+        return 0.0;
+    }
+    let largest = shards.iter().map(|s| s.streams.len()).max().unwrap_or(0);
+    largest as f64 / (total as f64 / shards.len() as f64)
 }
 
 /// Partitions an instance into shards along stream–audience connectivity.
@@ -255,52 +262,79 @@ impl Sharding {
 /// shard so that the shards always partition the full instance.
 #[must_use]
 pub fn shard_instance(instance: &Instance, max_streams: usize) -> Sharding {
-    let ns = instance.num_streams();
-    let nu = instance.num_users();
-    // Node layout: streams 0..ns (weight 1), users ns..ns+nu (weight 0),
-    // so a component's weight is its stream count.
-    let mut weights = vec![1usize; ns];
-    weights.extend(std::iter::repeat_n(0usize, nu));
-    let mut uf = UnionFind::new(weights);
+    let edges = interest_edges(instance, max_streams > 0);
+    let split = capped_kruskal(
+        instance.num_streams(),
+        instance.num_users(),
+        max_streams,
+        &edges,
+    );
+    finish_sharding(instance, split.shards, split.cut_mass)
+}
 
-    let mut edges: Vec<(f64, usize, usize)> = Vec::with_capacity(instance.num_interests());
+/// Every interest of `instance` as a `(utility, user, stream)` edge. With
+/// `merge_order`, sorted the way the capped Kruskal merges them: heaviest
+/// first, so the cap cuts low-weight edges, ties by user then stream. The
+/// keys are unique, so the unstable sort is deterministic.
+fn interest_edges(instance: &Instance, merge_order: bool) -> Vec<(f64, usize, usize)> {
+    let mut edges = Vec::with_capacity(instance.num_interests());
     for u in instance.users() {
         for interest in instance.user(u).interests() {
             edges.push((interest.utility(), u.index(), interest.stream().index()));
         }
     }
-    if max_streams > 0 {
-        // Heaviest interests merge first, so the cap cuts low-weight edges.
-        // Ties break by (user, stream) for determinism.
-        edges.sort_by(|a, b| {
+    if merge_order {
+        edges.sort_unstable_by(|a, b| {
             b.0.total_cmp(&a.0)
                 .then_with(|| a.1.cmp(&b.1))
                 .then_with(|| a.2.cmp(&b.2))
         });
     }
-    for &(_, u, s) in &edges {
-        uf.union_capped(s, ns + u, max_streams);
+    edges
+}
+
+/// The result of one [`capped_kruskal`] run, in the run's local ids.
+struct KruskalSplit {
+    /// The shards (local ids, ascending).
+    shards: Vec<Shard>,
+    /// Per input edge: whether its endpoints ended up in one shard.
+    kept: Vec<bool>,
+    /// Total utility of the edges not kept, summed in input order.
+    cut_mass: f64,
+}
+
+/// The capped-Kruskal core of [`shard_instance`] and of every head-split
+/// round of [`super_partition`]. Merges `edges` — `(utility, user,
+/// stream)` over dense local ids, streams `0..ns` and users `0..nu` — in
+/// the order given, refusing any merge that would put more than `cap`
+/// streams in one component (`0` = no cap). Components with both sides
+/// populated become shards; the rest are packed into cap-sized residual
+/// shards, with the users that have no surviving interest riding along in
+/// the first one.
+fn capped_kruskal(ns: usize, nu: usize, cap: usize, edges: &[(f64, usize, usize)]) -> KruskalSplit {
+    // Node layout: streams 0..ns (weight 1), users ns..ns+nu (weight 0),
+    // so a component's weight is its stream count.
+    let mut weights = vec![1usize; ns];
+    weights.extend(std::iter::repeat_n(0usize, nu));
+    let mut uf = UnionFind::new(weights);
+    for &(_, u, s) in edges {
+        uf.union_capped(s, ns + u, cap);
     }
 
-    // Interests whose endpoints did not end up connected are cut. (An edge
-    // refused earlier can still be connected through later merges, so this
-    // is a second pass over the final forest.)
-    let mut cut = Vec::new();
+    // An edge refused earlier can still be connected through later merges,
+    // so whether it is cut is decided on the final forest.
     let mut cut_mass = 0.0f64;
-    for &(w, u, s) in &edges {
-        if !uf.connected(s, ns + u) {
-            cut.push(CutInterest {
-                user: UserId::new(u),
-                stream: StreamId::new(s),
-                utility: w,
-            });
-            cut_mass += w;
-        }
-    }
-    cut.sort_by_key(|c| (c.user, c.stream));
+    let kept = edges
+        .iter()
+        .map(|&(w, u, s)| {
+            let kept = uf.connected(s, ns + u);
+            if !kept {
+                cut_mass += w;
+            }
+            kept
+        })
+        .collect();
 
-    // Components with both sides populated become shards; the rest are
-    // packed into residual shards (streams chunked to the cap).
     let mut shards: Vec<Shard> = Vec::new();
     let mut residual_streams: Vec<StreamId> = Vec::new();
     let mut residual_users: Vec<UserId> = Vec::new();
@@ -316,11 +350,7 @@ pub fn shard_instance(instance: &Instance, max_streams: usize) -> Sharding {
         }
     }
     if !residual_streams.is_empty() {
-        let chunk = if max_streams > 0 {
-            max_streams
-        } else {
-            residual_streams.len()
-        };
+        let chunk = if cap > 0 { cap } else { residual_streams.len() };
         let mut first = true;
         for streams in residual_streams.chunks(chunk) {
             shards.push(Shard {
@@ -339,9 +369,25 @@ pub fn shard_instance(instance: &Instance, max_streams: usize) -> Sharding {
             users: residual_users,
         });
     }
+    KruskalSplit {
+        shards,
+        kept,
+        cut_mass,
+    }
+}
 
-    let mut shard_of_stream = vec![usize::MAX; ns];
-    let mut shard_of_user = vec![usize::MAX; nu];
+/// Completes a partition of `instance` (global ids) into a [`Sharding`]:
+/// the membership maps and the cut list.
+///
+/// The cut is exactly the set of interests crossing two shards. That is
+/// the same set as the interests the Kruskal runs left unconnected: a user
+/// weighs 0, so its first interest always merges it into a stream's
+/// component, and only interest-less users reach a stream-less residual
+/// shard. Scanning users in id order and their stream-sorted interests
+/// therefore lists the cut in `(user, stream)` order with no sort.
+fn finish_sharding(instance: &Instance, shards: Vec<Shard>, cut_mass: f64) -> Sharding {
+    let mut shard_of_stream = vec![usize::MAX; instance.num_streams()];
+    let mut shard_of_user = vec![usize::MAX; instance.num_users()];
     for (k, shard) in shards.iter().enumerate() {
         for &s in &shard.streams {
             shard_of_stream[s.index()] = k;
@@ -353,6 +399,19 @@ pub fn shard_instance(instance: &Instance, max_streams: usize) -> Sharding {
     debug_assert!(shard_of_stream.iter().all(|&k| k != usize::MAX));
     debug_assert!(shard_of_user.iter().all(|&k| k != usize::MAX));
 
+    let mut cut = Vec::new();
+    for u in instance.users() {
+        let home = shard_of_user[u.index()];
+        for interest in instance.user(u).interests() {
+            if shard_of_stream[interest.stream().index()] != home {
+                cut.push(CutInterest {
+                    user: u,
+                    stream: interest.stream(),
+                    utility: interest.utility(),
+                });
+            }
+        }
+    }
     Sharding {
         shards,
         cut,
@@ -688,58 +747,80 @@ pub fn shard_utility_bound(instance: &Instance, sharding: &Sharding, k: usize) -
 /// thread-count invariant; the ingest engine and [`solve_sharded`] both
 /// partition through this function, which their bit-for-bit equivalence
 /// depends on.
+///
+/// The interests are sorted into merge order once. Each head-split round
+/// re-cuts the largest shard (ties to the smallest index) at half its
+/// stream count, floored at the inner cap, by running the same capped
+/// Kruskal over the head's own interests, in the parent partition's edge
+/// order and on the head's dense local ids. Local ids are a monotone map
+/// of global ones, so a round splits the head exactly as a fresh
+/// [`shard_instance`] of the head's sub-instance would: it cuts the head's
+/// lowest-utility interests first, and their utility is added to
+/// `cut_mass` one round at a time.
 #[must_use]
 pub fn super_partition(instance: &Instance, config: &ShardConfig) -> Sharding {
-    let super_cap = instance
-        .num_streams()
+    let ns = instance.num_streams();
+    let nu = instance.num_users();
+    let super_cap = ns
         .div_ceil(config.super_shards.max(1))
         .max(config.max_streams.max(1));
-    let mut supering = shard_instance(instance, super_cap);
-    split_head_shards(instance, &mut supering, config);
-    supering
-}
-
-/// Head-splitting: while the partition's skew ratio exceeds the threshold,
-/// re-cut the largest shard (ties to the smallest index) at half its
-/// stream count, floored at the inner cap. Each round builds the head's
-/// sub-instance and re-runs the same Kruskal splitter on it, so the split
-/// cuts the head's lowest-utility interests first, exactly like the coarse
-/// partition itself; newly cut interests fold into the partition's cut
-/// list and `cut_mass` (they stay certificate-accounted).
-fn split_head_shards(instance: &Instance, supering: &mut Sharding, config: &ShardConfig) {
+    let edges = interest_edges(instance, true);
+    let coarse = capped_kruskal(ns, nu, super_cap, &edges);
+    let mut shards = coarse.shards;
+    let mut cut_mass = coarse.cut_mass;
     let threshold = config.head_split_skew;
-    if threshold <= 0.0 || !threshold.is_finite() {
-        return;
+    if threshold <= 0.0 || !threshold.is_finite() || skew_ratio(&shards) <= threshold {
+        return finish_sharding(instance, shards, cut_mass);
     }
+
+    let mut buckets = bucket_kept_edges(
+        &shards,
+        ns,
+        edges.iter().enumerate().map(|(i, e)| (i, e.2)),
+        &coarse.kept,
+    );
+    // Dense local ids of the current head's members, refilled per round.
+    let mut local_stream = vec![0usize; ns];
+    let mut local_user = vec![0usize; nu];
     let floor = config.max_streams.max(1);
-    let mut split_any = false;
-    while supering.skew_ratio() > threshold {
+    while skew_ratio(&shards) > threshold {
         let mut head = 0usize;
-        for (k, s) in supering.shards.iter().enumerate() {
-            if s.streams.len() > supering.shards[head].streams.len() {
+        for (k, s) in shards.iter().enumerate() {
+            if s.streams.len() > shards[head].streams.len() {
                 head = k;
             }
         }
-        let head_streams = supering.shards[head].streams.len();
-        let cap = head_streams.div_ceil(2).max(floor);
-        if cap >= head_streams {
-            // The head is already at the inner cap: nothing to gain. Break
-            // (not return) so the membership-map rebuild below still runs if
-            // an earlier round spliced the shard list.
-            break;
+        let shard = &shards[head];
+        let cap = shard.streams.len().div_ceil(2).max(floor);
+        if cap >= shard.streams.len() {
+            break; // the head is already at the inner cap: nothing to gain
         }
-        let shard = supering.shards[head].clone();
-        let sub = build_shard_instance(
-            instance,
-            &shard,
-            instance.budgets(),
-            "head-split", // partitioned only, never solved: the name is a label
+        for (li, &s) in shard.streams.iter().enumerate() {
+            local_stream[s.index()] = li;
+        }
+        for (li, &u) in shard.users.iter().enumerate() {
+            local_user[u.index()] = li;
+        }
+        let bucket = std::mem::take(&mut buckets[head]);
+        let local: Vec<(f64, usize, usize)> = bucket
+            .iter()
+            .map(|&i| {
+                let (w, u, s) = edges[i];
+                (w, local_user[u], local_stream[s])
+            })
+            .collect();
+        let split = capped_kruskal(shard.streams.len(), shard.users.len(), cap, &local);
+        cut_mass += split.cut_mass;
+
+        let parts_buckets = bucket_kept_edges(
+            &split.shards,
+            shard.streams.len(),
+            bucket.iter().zip(&local).map(|(&i, e)| (i, e.2)),
+            &split.kept,
         );
-        let parts = shard_instance(&sub, cap);
-        // Translate the local split back to global ids. Local ids are
-        // dense in the (ascending) order of the head's members, so the
-        // monotone translation keeps every shard's id vectors ascending.
-        let new_shards: Vec<Shard> = parts
+        // Back to global ids; the monotone map keeps every id list
+        // ascending.
+        let parts: Vec<Shard> = split
             .shards
             .iter()
             .map(|p| Shard {
@@ -751,26 +832,35 @@ fn split_head_shards(instance: &Instance, supering: &mut Sharding, config: &Shar
                 users: p.users.iter().map(|lu| shard.users[lu.index()]).collect(),
             })
             .collect();
-        supering.cut.extend(parts.cut.iter().map(|c| CutInterest {
-            user: shard.users[c.user.index()],
-            stream: shard.streams[c.stream.index()],
-            utility: c.utility,
-        }));
-        supering.cut_mass += parts.cut_mass;
-        supering.shards.splice(head..=head, new_shards);
-        split_any = true;
+        shards.splice(head..=head, parts);
+        buckets.splice(head..=head, parts_buckets);
     }
-    if split_any {
-        supering.cut.sort_by_key(|c| (c.user, c.stream));
-        for (k, shard) in supering.shards.iter().enumerate() {
-            for &s in &shard.streams {
-                supering.shard_of_stream[s.index()] = k;
-            }
-            for &u in &shard.users {
-                supering.shard_of_user[u.index()] = k;
-            }
+    finish_sharding(instance, shards, cut_mass)
+}
+
+/// Each part's intra-part edges: the indices of the kept `edges` — given as
+/// `(index, stream)` over the parts' ids, with `kept` from the Kruskal run
+/// that produced `parts` — grouped by the part of their stream, in input
+/// order. A kept edge lies inside one part.
+fn bucket_kept_edges(
+    parts: &[Shard],
+    ns: usize,
+    edges: impl Iterator<Item = (usize, usize)>,
+    kept: &[bool],
+) -> Vec<Vec<usize>> {
+    let mut part_of_stream = vec![0usize; ns];
+    for (p, part) in parts.iter().enumerate() {
+        for &s in &part.streams {
+            part_of_stream[s.index()] = p;
         }
     }
+    let mut buckets = vec![Vec::new(); parts.len()];
+    for ((i, s), &kept) in edges.zip(kept) {
+        if kept {
+            buckets[part_of_stream[s]].push(i);
+        }
+    }
+    buckets
 }
 
 /// The top level of the partition tree, with its certificate terms and

@@ -13,7 +13,7 @@
 use crate::error::BuildError;
 use crate::ids::{StreamId, UserId};
 use crate::num;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A user's interest in one stream: the utility `w_u(S)` it derives and the
@@ -302,7 +302,7 @@ impl Instance {
             budgets: Vec::new(),
             stream_costs: Vec::new(),
             users: Vec::new(),
-            seen: HashSet::new(),
+            stream_sets: HashMap::new(),
             lane_mode: LaneMode::Exact,
         }
     }
@@ -647,9 +647,17 @@ pub struct InstanceBuilder {
     budgets: Vec<f64>,
     stream_costs: Vec<Vec<f64>>,
     users: Vec<UserSpec>,
-    seen: HashSet<(usize, usize)>,
+    /// Duplicate-check index of the users with more than
+    /// [`SCAN_LIMIT`] interests that took an out-of-order insert: user
+    /// index → (the streams of the user's first `filled` interests,
+    /// `filled`). Filled lazily, by the out-of-order inserts only.
+    stream_sets: HashMap<usize, (HashSet<usize>, usize)>,
     lane_mode: LaneMode,
 }
+
+/// Up to this many interests, a user's out-of-order duplicate check is a
+/// linear scan; past it, a hash set of the user's streams.
+const SCAN_LIMIT: usize = 32;
 
 impl InstanceBuilder {
     /// Declares the server budgets `B_1..B_m`, fixing the number of cost
@@ -692,6 +700,14 @@ impl InstanceBuilder {
     /// Declares that `user` derives `utility` from `stream`, loading the
     /// user's capacity measures by `loads` (must match the user's `m_c`).
     ///
+    /// Adding a user's interests in ascending stream order is the fast
+    /// path: a stream above every stream the user already declared cannot
+    /// be a duplicate, so the check costs one comparison. An out-of-order
+    /// insert scans the user's interests while they are few and otherwise
+    /// looks the stream up in a per-user hash set, filled lazily, so any
+    /// insertion order stays linear overall. A rejected call records
+    /// nothing, so the builder stays usable.
+    ///
     /// # Errors
     ///
     /// Returns [`BuildError::UnknownStream`] / [`BuildError::UnknownUser`]
@@ -711,7 +727,12 @@ impl InstanceBuilder {
         if user.index() >= self.users.len() {
             return Err(BuildError::UnknownUser(user));
         }
-        if !self.seen.insert((user.index(), stream.index())) {
+        // Invariant: a user's last interest holds its largest stream.
+        let ascending = self.users[user.index()]
+            .interests
+            .last()
+            .is_none_or(|last| stream > last.stream);
+        if !ascending && self.declared(user, stream) {
             return Err(BuildError::DuplicateInterest { user, stream });
         }
         let spec = &mut self.users[user.index()];
@@ -728,7 +749,29 @@ impl InstanceBuilder {
             utility,
             loads,
         });
+        if !ascending {
+            // Keep the largest stream last; `build` sorts by stream anyway.
+            let n = spec.interests.len();
+            spec.interests.swap(n - 2, n - 1);
+            if let Some((set, filled)) = self.stream_sets.get_mut(&user.index()) {
+                set.insert(stream.index());
+                *filled = n;
+            }
+        }
         Ok(())
+    }
+
+    /// Whether `user` already declared `stream`. The caller has ruled out
+    /// the ascending fast path.
+    fn declared(&mut self, user: UserId, stream: StreamId) -> bool {
+        let interests = &self.users[user.index()].interests;
+        if interests.len() <= SCAN_LIMIT {
+            return interests.iter().any(|i| i.stream == stream);
+        }
+        let (set, filled) = self.stream_sets.entry(user.index()).or_default();
+        set.extend(interests[*filled..].iter().map(|i| i.stream.index()));
+        *filled = interests.len();
+        set.contains(&stream.index())
     }
 
     /// Validates and finalizes the instance.
@@ -1149,6 +1192,104 @@ mod tests {
             b.add_interest(u, s, 2.0, vec![]),
             Err(BuildError::DuplicateInterest { .. })
         ));
+    }
+
+    /// Adds `stream` to user 0 of `b` with unit utility.
+    fn add(b: &mut InstanceBuilder, stream: usize) -> Result<(), BuildError> {
+        b.add_interest(UserId::new(0), StreamId::new(stream), 1.0, vec![])
+    }
+
+    fn is_duplicate(result: Result<(), BuildError>, stream: usize) -> bool {
+        matches!(
+            result,
+            Err(BuildError::DuplicateInterest { user, stream: s })
+                if user == UserId::new(0) && s == StreamId::new(stream)
+        )
+    }
+
+    /// Duplicates are rejected by the very call that repeats the pair, at
+    /// every position of the insertion order and on both sides of the
+    /// scan/hash-set threshold, and each rejection leaves the builder
+    /// usable.
+    #[test]
+    fn duplicate_checks_cover_every_insertion_order() {
+        for extra in [0usize, SCAN_LIMIT + 8] {
+            let mut b = Instance::builder("dup-order").server_budgets(vec![5.0]);
+            for _ in 0..100 {
+                b.add_stream(vec![1.0]);
+            }
+            b.add_user(f64::INFINITY, vec![]);
+            // Ascending inserts, then a repeat of the last one.
+            for s in [10, 20, 30] {
+                add(&mut b, s).unwrap();
+            }
+            assert!(is_duplicate(add(&mut b, 30), 30), "extra {extra}");
+            // Pads the user past the scan threshold for the second pass.
+            for s in 31..31 + extra {
+                add(&mut b, s).unwrap();
+            }
+            // Out-of-order insert, then a repeat of it and of the maximum.
+            add(&mut b, 15).unwrap();
+            assert!(is_duplicate(add(&mut b, 15), 15), "extra {extra}");
+            let max = 30 + extra;
+            assert!(is_duplicate(add(&mut b, max), max), "extra {extra}");
+            assert!(is_duplicate(add(&mut b, 20), 20), "extra {extra}");
+            // A repeat of the very first interest.
+            assert!(is_duplicate(add(&mut b, 10), 10), "extra {extra}");
+            // Still usable: fresh pairs in either direction are accepted.
+            add(&mut b, 5).unwrap();
+            add(&mut b, 99).unwrap();
+            let inst = b.build().unwrap();
+            let streams: Vec<usize> = inst
+                .user(UserId::new(0))
+                .interests()
+                .iter()
+                .map(|i| i.stream().index())
+                .collect();
+            let mut expected = vec![5, 10, 15, 20, 30];
+            expected.extend(31..31 + extra);
+            expected.push(99);
+            assert_eq!(streams, expected, "extra {extra}");
+        }
+    }
+
+    /// A rejected call records nothing: a pair refused for its loads can
+    /// be declared again with the right ones.
+    #[test]
+    fn rejected_interest_is_not_recorded() {
+        let mut b = Instance::builder("retry").server_budgets(vec![5.0]);
+        let s = b.add_stream(vec![1.0]);
+        let u = b.add_user(1.0, vec![1.0]);
+        assert!(matches!(
+            b.add_interest(u, s, 1.0, vec![]),
+            Err(BuildError::LoadLenMismatch { .. })
+        ));
+        b.add_interest(u, s, 1.0, vec![0.5]).unwrap();
+        assert_eq!(b.build().unwrap().num_interests(), 1);
+    }
+
+    /// One heavy user declared in descending stream order takes the
+    /// out-of-order path on every insert and still builds correctly.
+    #[test]
+    fn heavy_user_in_descending_order_builds() {
+        const N: usize = 20_000;
+        let mut b = Instance::builder("heavy").server_budgets(vec![5.0]);
+        for _ in 0..N {
+            b.add_stream(vec![1.0]);
+        }
+        b.add_user(f64::INFINITY, vec![]);
+        for s in (0..N).rev() {
+            b.add_interest(UserId::new(0), StreamId::new(s), 1.0 + s as f64, vec![])
+                .unwrap();
+        }
+        assert!(is_duplicate(add(&mut b, N / 2), N / 2));
+        let inst = b.build().unwrap();
+        let interests = inst.user(UserId::new(0)).interests();
+        assert_eq!(interests.len(), N);
+        for (s, interest) in interests.iter().enumerate() {
+            assert_eq!(interest.stream(), StreamId::new(s));
+            assert_eq!(interest.utility(), 1.0 + s as f64);
+        }
     }
 
     #[test]
