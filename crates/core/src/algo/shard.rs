@@ -78,7 +78,7 @@ use crate::error::SolveError;
 use crate::govern::{DegradeAction, SolveBudget};
 use crate::graph::{collect_components, UnionFind};
 use crate::ids::{StreamId, UserId};
-use crate::ingest::{IngestConfig, IngestOutcome, Touched};
+use crate::ingest::{IngestConfig, IngestOutcome, Touched, Universe};
 use crate::instance::Instance;
 use crate::num;
 use std::time::Instant;
@@ -1151,7 +1151,7 @@ pub(crate) fn solve_cold(
     instance: &Instance,
     config: &IngestConfig,
 ) -> Result<SolvedTree, SolveError> {
-    let touched = Touched::everything(instance.num_streams(), instance.num_users());
+    let touched = Touched::new(Universe::of(instance), true);
     let solved = solve_tree(
         instance,
         config,

@@ -99,6 +99,10 @@
 //! the synchronous path — is preserved because one solver thread applies
 //! epochs strictly in submission order.
 //!
+//! The committed state (model, instance, assignment) is one immutable value
+//! behind an `Arc` that an apply replaces only on commit, so publishing a
+//! snapshot shares it and copies nothing.
+//!
 //! [`solve_sharded`]: crate::algo::shard::solve_sharded
 //! [`solve_batch`]: crate::algo::batch::solve_batch
 
@@ -114,6 +118,7 @@ use crate::instance::Instance;
 use crate::num;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One update of the streaming frontend.
@@ -488,26 +493,31 @@ pub(crate) struct Touched {
 }
 
 impl Touched {
-    fn new(ns: usize, nu: usize) -> Self {
+    /// Nothing touched yet, or (`all`) everything: a full re-solve.
+    pub(crate) fn new(universe: Universe, all: bool) -> Self {
         Touched {
-            streams: vec![false; ns],
-            users: vec![false; nu],
-            budgets: false,
+            streams: vec![all; universe.streams],
+            users: vec![all; universe.users],
+            budgets: all,
         }
     }
+}
 
-    pub(crate) fn everything(ns: usize, nu: usize) -> Self {
-        Touched {
-            streams: vec![true; ns],
-            users: vec![true; nu],
-            budgets: true,
-        }
-    }
+/// The parts of the engine's input instance that no update changes, read
+/// by [`Model::materialize`] and the budget-coverage checks. Held once and
+/// shared by every clone of the model.
+#[derive(Debug)]
+struct Fixed {
+    name: String,
+    stream_costs: Vec<Vec<f64>>,
+    /// Per user: the utility cap and the capacities.
+    users: Vec<(f64, Vec<f64>)>,
 }
 
 /// The mutable problem model behind the immutable [`Instance`] snapshots.
 #[derive(Clone, Debug)]
 struct Model {
+    fixed: Arc<Fixed>,
     live: Vec<bool>,
     budgets: Vec<f64>,
     /// Per user: current interests (weight + capacity loads), keyed by
@@ -516,8 +526,17 @@ struct Model {
 }
 
 impl Model {
-    fn from_instance(base: &Instance) -> Self {
+    fn from_instance(base: Instance) -> Self {
         Model {
+            fixed: Arc::new(Fixed {
+                name: base.name().to_string(),
+                stream_costs: base.streams().map(|s| base.costs(s).to_vec()).collect(),
+                users: base
+                    .users()
+                    .map(|u| base.user(u))
+                    .map(|spec| (spec.utility_cap(), spec.capacities().to_vec()))
+                    .collect(),
+            }),
             live: vec![true; base.num_streams()],
             budgets: base.budgets().to_vec(),
             interests: base
@@ -541,30 +560,26 @@ impl Model {
         }
     }
 
-    /// Applies one update, recording what it touched. Errors leave the
-    /// model in the state reached so far — callers apply batches to a
-    /// scratch clone and commit on success.
-    fn apply(
-        &mut self,
-        base: &Instance,
-        update: &Update,
-        touched: &mut Touched,
-    ) -> Result<(), IngestError> {
+    /// The fixed id universe of the model.
+    fn universe(&self) -> Universe {
+        Universe {
+            streams: self.fixed.stream_costs.len(),
+            users: self.fixed.users.len(),
+            measures: self.budgets.len(),
+        }
+    }
+
+    /// Applies one update, recording what it touched: the structural
+    /// checks of [`Universe::validate`], then the budget coverage
+    /// `c_i(S) ≤ B_i` of every live stream. Errors leave the model in the
+    /// state reached so far — callers apply batches to a scratch clone and
+    /// commit on success.
+    fn apply(&mut self, update: &Update, touched: &mut Touched) -> Result<(), IngestError> {
+        self.universe().validate(update)?;
         match *update {
             Update::StreamArrival(s) => {
-                if s.index() >= base.num_streams() {
-                    return Err(IngestError::UnknownStream(s));
-                }
-                for (i, &b) in self.budgets.iter().enumerate() {
-                    let cost = base.cost(s, i);
-                    if !num::approx_le(cost, b) {
-                        return Err(IngestError::CostExceedsBudget {
-                            stream: s,
-                            measure: i,
-                            cost,
-                            budget: b,
-                        });
-                    }
+                for (measure, &budget) in self.budgets.iter().enumerate() {
+                    self.fits(s, measure, budget)?;
                 }
                 if !self.live[s.index()] {
                     self.live[s.index()] = true;
@@ -572,9 +587,6 @@ impl Model {
                 }
             }
             Update::StreamDeparture(s) => {
-                if s.index() >= base.num_streams() {
-                    return Err(IngestError::UnknownStream(s));
-                }
                 if self.live[s.index()] {
                     self.live[s.index()] = false;
                     touched.streams[s.index()] = true;
@@ -585,24 +597,11 @@ impl Model {
                 stream,
                 weight,
             } => {
-                if stream.index() >= base.num_streams() {
-                    return Err(IngestError::UnknownStream(stream));
-                }
-                if user.index() >= base.num_users() {
-                    return Err(IngestError::UnknownUser(user));
-                }
-                if !weight.is_finite() || weight < 0.0 {
-                    return Err(IngestError::InvalidWeight {
-                        user,
-                        stream,
-                        weight,
-                    });
-                }
                 let per_user = &mut self.interests[user.index()];
                 if weight == 0.0 {
                     per_user.remove(&stream);
                 } else {
-                    let m_c = base.user(user).num_capacities();
+                    let m_c = self.fixed.users[user.index()].1.len();
                     per_user
                         .entry(stream)
                         .and_modify(|i| i.weight = weight)
@@ -619,23 +618,8 @@ impl Model {
                 }
             }
             Update::BudgetChange { measure, budget } => {
-                if measure >= self.budgets.len() {
-                    return Err(IngestError::UnknownMeasure(measure));
-                }
-                if budget.is_nan() || budget < 0.0 {
-                    return Err(IngestError::InvalidBudget { measure, budget });
-                }
-                for (si, &live) in self.live.iter().enumerate() {
-                    let s = StreamId::new(si);
-                    let cost = base.cost(s, measure);
-                    if live && !num::approx_le(cost, budget) {
-                        return Err(IngestError::CostExceedsBudget {
-                            stream: s,
-                            measure,
-                            cost,
-                            budget,
-                        });
-                    }
+                for s in (0..self.live.len()).filter(|&s| self.live[s]) {
+                    self.fits(StreamId::new(s), measure, budget)?;
                 }
                 if self.budgets[measure] != budget {
                     self.budgets[measure] = budget;
@@ -646,22 +630,35 @@ impl Model {
         Ok(())
     }
 
+    /// The model assumption `c_i(S) ≤ B_i` for `stream` in `measure`.
+    fn fits(&self, stream: StreamId, measure: usize, budget: f64) -> Result<(), IngestError> {
+        let cost = self.fixed.stream_costs[stream.index()][measure];
+        if num::approx_le(cost, budget) {
+            return Ok(());
+        }
+        Err(IngestError::CostExceedsBudget {
+            stream,
+            measure,
+            cost,
+            budget,
+        })
+    }
+
     /// Builds the immutable [`Instance`] snapshot of the current model:
     /// departed streams stay in the universe (stable ids) with zero costs
     /// and no interests.
-    fn materialize(&self, base: &Instance) -> Result<Instance, BuildError> {
-        let m = base.num_measures();
-        let mut b = Instance::builder(base.name()).server_budgets(self.budgets.clone());
-        for s in base.streams() {
-            b.add_stream(if self.live[s.index()] {
-                base.costs(s).to_vec()
+    fn materialize(&self) -> Result<Instance, BuildError> {
+        let fixed = &*self.fixed;
+        let mut b = Instance::builder(fixed.name.as_str()).server_budgets(self.budgets.clone());
+        for (costs, &live) in fixed.stream_costs.iter().zip(&self.live) {
+            b.add_stream(if live {
+                costs.clone()
             } else {
-                vec![0.0; m]
+                vec![0.0; costs.len()]
             });
         }
-        for u in base.users() {
-            let spec = base.user(u);
-            b.add_user(spec.utility_cap(), spec.capacities().to_vec());
+        for (cap, capacities) in &fixed.users {
+            b.add_user(*cap, capacities.clone());
         }
         for (ui, per_user) in self.interests.iter().enumerate() {
             for (&s, interest) in per_user {
@@ -678,7 +675,7 @@ impl Model {
 /// is validated against.
 ///
 /// Updates never grow an instance — arrivals and departures toggle
-/// liveness of streams that exist in the base instance — so structural
+/// liveness of streams that exist in the engine's input — so structural
 /// validation (unknown ids, non-finite numbers) needs only these three
 /// counts. The async apply path validates on the submitting thread with a
 /// `Universe` while the engine itself lives on the solver thread.
@@ -764,15 +761,23 @@ impl Universe {
     }
 }
 
+/// The committed state an engine and its snapshots share: the model, the
+/// instance materialized from it and that instance's assignment. Never
+/// mutated: an apply builds the next value and swaps it in on commit, so
+/// a snapshot keeps describing the state it was taken of.
+#[derive(Debug)]
+struct Committed {
+    model: Arc<Model>,
+    current: Instance,
+    assignment: Assignment,
+}
+
 /// The stateful streaming frontend (see the [module docs](self)).
 #[derive(Clone, Debug)]
 pub struct IngestEngine {
-    base: Instance,
     config: IngestConfig,
-    model: Model,
+    state: Arc<Committed>,
     pending: Vec<Update>,
-    current: Instance,
-    assignment: Assignment,
     cache: TreeCache,
     last: IngestOutcome,
     metrics: IngestMetrics,
@@ -799,21 +804,22 @@ impl IngestEngine {
     /// Propagates materialization or solve failures ([`IngestError::Build`]
     /// / [`IngestError::Solve`]; neither occurs for well-formed instances).
     pub fn new(base: Instance, config: IngestConfig) -> Result<Self, IngestError> {
-        let model = Model::from_instance(&base);
-        let current = model.materialize(&base)?;
+        let model = Model::from_instance(base);
+        let current = model.materialize()?;
         // The initial solve is never governed: a serving frontend needs a
         // complete certified bracket before it can degrade from one.
         let tree = solve_cold(&current, &config)?;
         Ok(IngestEngine {
-            current,
-            assignment: tree.assignment,
+            state: Arc::new(Committed {
+                model: Arc::new(model),
+                current,
+                assignment: tree.assignment,
+            }),
             cache: tree.cache,
             last: tree.outcome,
-            model,
             pending: Vec::new(),
             metrics: IngestMetrics::default(),
             deferred_refresh: false,
-            base,
             config,
         })
     }
@@ -825,12 +831,12 @@ impl IngestEngine {
 
     /// The committed instance snapshot (the last applied state).
     pub fn current_instance(&self) -> &Instance {
-        &self.current
+        &self.state.current
     }
 
     /// The committed assignment.
     pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+        &self.state.assignment
     }
 
     /// Capped utility of the committed assignment.
@@ -856,7 +862,7 @@ impl IngestEngine {
 
     /// Number of currently live streams (committed model).
     pub fn num_live(&self) -> usize {
-        self.model.live.iter().filter(|&&l| l).count()
+        self.state.model.live.iter().filter(|&&l| l).count()
     }
 
     /// The engine's fixed id [`Universe`] — what
@@ -865,14 +871,7 @@ impl IngestEngine {
     /// submitting thread.
     #[must_use]
     pub fn universe(&self) -> Universe {
-        Universe::of(&self.base)
-    }
-
-    /// Structural validation of one update against the engine's universe:
-    /// unknown ids and invalid numbers are rejected here, stateful
-    /// validation (budget coverage) happens at apply time.
-    fn validate_structural(&self, update: &Update) -> Result<(), IngestError> {
-        self.universe().validate(update)
+        self.state.model.universe()
     }
 
     /// Queues one update for the next [`apply`](Self::apply). Structural
@@ -883,12 +882,7 @@ impl IngestEngine {
     ///
     /// Returns the structural [`IngestError`] without queuing anything.
     pub fn push(&mut self, update: Update) -> Result<(), IngestError> {
-        if let Err(e) = self.validate_structural(&update) {
-            self.metrics.rejected_updates += 1;
-            return Err(e);
-        }
-        self.pending.push(update);
-        Ok(())
+        self.push_batch([update]).map(|_| ())
     }
 
     /// Queues a whole batch atomically: either every update passes
@@ -933,8 +927,9 @@ impl IngestEngine {
         updates: impl IntoIterator<Item = Update>,
     ) -> Result<usize, IngestError> {
         let updates: Vec<Update> = updates.into_iter().collect();
+        let universe = self.universe();
         for update in &updates {
-            if let Err(e) = self.validate_structural(update) {
+            if let Err(e) = universe.validate(update) {
                 self.metrics.rejected_updates += 1;
                 return Err(e);
             }
@@ -963,29 +958,26 @@ impl IngestEngine {
     /// Returns the first [`IngestError`] encountered.
     pub fn apply(&mut self) -> Result<IngestOutcome, IngestError> {
         let started = Instant::now();
-        let mut scratch = self.model.clone();
-        let mut touched = Touched::new(self.base.num_streams(), self.base.num_users());
+        let mut model = Model::clone(&self.state.model);
+        let mut touched = Touched::new(model.universe(), false);
         for update in &self.pending {
-            if let Err(e) = scratch.apply(&self.base, update, &mut touched) {
+            if let Err(e) = model.apply(update, &mut touched) {
                 self.metrics.rejected_batches += 1;
                 return Err(e);
             }
         }
-        let applied = self.pending.len();
-        let committed_model = std::mem::replace(&mut self.model, scratch);
-        match self.resolve(touched, applied, started, self.config.budget) {
-            Ok(Resolved::Committed(outcome)) => {
+        let (model, applied) = (Arc::new(model), self.pending.len());
+        match self.resolve(model, &touched, applied, started, self.config.budget)? {
+            Resolved::Committed(outcome) => {
                 self.pending.clear();
-                self.record_apply(&outcome, started);
                 Ok(outcome)
             }
-            Ok(Resolved::Shed { soft_tripped }) => {
+            Resolved::Shed { soft_tripped } => {
                 // A hard budget trip shed the apply: the committed state
                 // keeps serving as-is and the pending updates are retained
                 // for a retry. The returned outcome is the last committed
                 // bracket, marked stale — its certificate describes the
                 // *previous* instance, not the requested post-batch one.
-                self.model = committed_model;
                 let m = &mut self.metrics;
                 m.budget_soft_trips += u64::from(soft_tripped);
                 m.budget_hard_trips += 1;
@@ -997,11 +989,6 @@ impl IngestEngine {
                 self.last.stale = true;
                 self.last.stale_gap_fraction = 1.0;
                 Ok(self.last)
-            }
-            Err(e) => {
-                self.model = committed_model;
-                self.metrics.rejected_batches += 1;
-                Err(e)
             }
         }
     }
@@ -1024,7 +1011,7 @@ impl IngestEngine {
     /// is unchanged on error.
     pub fn refresh_full(&mut self) -> Result<IngestOutcome, IngestError> {
         let started = Instant::now();
-        let touched = Touched::everything(self.base.num_streams(), self.base.num_users());
+        let touched = Touched::new(self.universe(), true);
         // The deferred-refresh request is consumed by the *attempt*, not
         // the success — a failing refresh must not put background
         // maintenance into a hot retry loop (the next DeferFull trip
@@ -1033,18 +1020,10 @@ impl IngestEngine {
         // Maintenance is never governed: it runs off the latency path, and
         // it is how a degraded engine catches back up (stale cache entries
         // are rebuilt from fresh solves here).
-        match self.resolve(touched, 0, started, SolveBudget::unlimited()) {
-            Ok(Resolved::Committed(outcome)) => {
-                self.record_apply(&outcome, started);
-                Ok(outcome)
-            }
-            Ok(Resolved::Shed { .. }) => {
-                unreachable!("an unlimited budget never sheds")
-            }
-            Err(e) => {
-                self.metrics.rejected_batches += 1;
-                Err(e)
-            }
+        let model = Arc::clone(&self.state.model);
+        match self.resolve(model, &touched, 0, started, SolveBudget::unlimited())? {
+            Resolved::Committed(outcome) => Ok(outcome),
+            Resolved::Shed { .. } => unreachable!("an unlimited budget never sheds"),
         }
     }
 
@@ -1060,12 +1039,67 @@ impl IngestEngine {
         self.deferred_refresh
     }
 
-    /// Folds one successful apply into the monotone counters.
-    fn record_apply(&mut self, outcome: &IngestOutcome, started: Instant) {
+    /// An immutable view of the committed state, stamped with `epoch` —
+    /// what the async apply path publishes after each commit so queries
+    /// never wait on an in-flight re-solve. It shares the committed state
+    /// with the engine and copies none of it.
+    #[must_use]
+    pub fn snapshot(&self, epoch: u64) -> IngestSnapshot {
+        IngestSnapshot {
+            epoch,
+            state: Arc::clone(&self.state),
+            last: self.last,
+            metrics: self.metrics,
+        }
+    }
+
+    /// The one commit-and-count path of [`apply`](Self::apply) and
+    /// [`refresh_full`](Self::refresh_full): materializes `model` and
+    /// solves it through the shared sharded core ([`solve_tree`]) against
+    /// the engine's cache (see the module docs for the equivalence
+    /// argument). A solved tree becomes the committed state and is counted
+    /// as an apply; an error is counted as a rejected batch; a shed leaves
+    /// the committed state and the counters alone.
+    fn resolve(
+        &mut self,
+        model: Arc<Model>,
+        touched: &Touched,
+        updates_applied: usize,
+        started: Instant,
+        budget: SolveBudget,
+    ) -> Result<Resolved, IngestError> {
+        let current = model
+            .materialize()
+            .inspect_err(|_| self.metrics.rejected_batches += 1)?;
+        let solved = solve_tree(
+            &current,
+            &self.config,
+            budget,
+            started,
+            &self.cache,
+            touched,
+        )
+        .inspect_err(|_| self.metrics.rejected_batches += 1)?;
+        let tree = match solved {
+            TreeSolve::Solved(tree) => *tree,
+            TreeSolve::Shed { soft_tripped } => return Ok(Resolved::Shed { soft_tripped }),
+        };
+        let mut outcome = tree.outcome;
+        outcome.updates_applied = updates_applied;
+        self.deferred_refresh |= outcome.deferred_full;
+        self.cache = tree.cache;
+        self.state = Arc::new(Committed {
+            model,
+            current,
+            assignment: tree.assignment,
+        });
+        self.last = outcome;
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let m = &mut self.metrics;
+        m.inner_cache_hits += tree.inner_cache.0;
+        m.inner_cache_misses += tree.inner_cache.1;
         m.applies += 1;
-        m.updates_applied += outcome.updates_applied as u64;
+        m.updates_applied += updates_applied as u64;
         m.full_resolves += u64::from(outcome.full_resolve);
         m.resolved_shards += outcome.resolved_shards as u64;
         m.shard_slots += outcome.num_shards as u64;
@@ -1077,76 +1111,23 @@ impl IngestEngine {
         m.deferred_full_resolves += u64::from(outcome.deferred_full);
         m.last_apply_nanos = nanos;
         m.total_apply_nanos = m.total_apply_nanos.saturating_add(nanos);
-    }
-
-    /// An owned, immutable view of the committed state, stamped with
-    /// `epoch` — what the async apply path publishes after each commit so
-    /// queries never wait on an in-flight re-solve.
-    #[must_use]
-    pub fn snapshot(&self, epoch: u64) -> IngestSnapshot {
-        IngestSnapshot {
-            epoch,
-            base: self.base.clone(),
-            model: self.model.clone(),
-            current: self.current.clone(),
-            assignment: self.assignment.clone(),
-            last: self.last,
-            metrics: self.metrics,
-        }
-    }
-
-    /// Materializes the model and solves it through the shared sharded
-    /// core ([`solve_tree`]) against the engine's cache, committing
-    /// `current`, `assignment`, the cache and `last` on success (see the
-    /// module docs for the equivalence argument).
-    fn resolve(
-        &mut self,
-        touched: Touched,
-        updates_applied: usize,
-        started: Instant,
-        budget: SolveBudget,
-    ) -> Result<Resolved, IngestError> {
-        let current = self.model.materialize(&self.base)?;
-        let solved = solve_tree(
-            &current,
-            &self.config,
-            budget,
-            started,
-            &self.cache,
-            &touched,
-        )?;
-        let tree = match solved {
-            TreeSolve::Solved(tree) => *tree,
-            TreeSolve::Shed { soft_tripped } => return Ok(Resolved::Shed { soft_tripped }),
-        };
-        let mut outcome = tree.outcome;
-        outcome.updates_applied = updates_applied;
-        self.metrics.inner_cache_hits += tree.inner_cache.0;
-        self.metrics.inner_cache_misses += tree.inner_cache.1;
-        self.deferred_refresh |= outcome.deferred_full;
-        self.cache = tree.cache;
-        self.current = current;
-        self.assignment = tree.assignment;
-        self.last = outcome;
         Ok(Resolved::Committed(outcome))
     }
 }
 
-/// An owned, immutable view of an engine's committed state, stamped with
-/// the epoch that produced it.
+/// An immutable view of an engine's committed state, stamped with the
+/// epoch that produced it.
 ///
 /// Published by [`async_apply::AsyncIngest`] after every commit via an
 /// atomic `Arc` swap: readers (query handlers, health probes) always see a
 /// complete certified `utility ≤ OPT ≤ upper_bound` bracket — either the
 /// pre-apply state or the post-apply state, never a torn intermediate —
-/// while the solver thread re-solves the next batch.
+/// while the solver thread re-solves the next batch. It shares the engine's
+/// committed state, which the engine replaces but never mutates.
 #[derive(Clone, Debug)]
 pub struct IngestSnapshot {
     epoch: u64,
-    base: Instance,
-    model: Model,
-    current: Instance,
-    assignment: Assignment,
+    state: Arc<Committed>,
     last: IngestOutcome,
     metrics: IngestMetrics,
 }
@@ -1161,13 +1142,13 @@ impl IngestSnapshot {
     /// The committed instance (the last applied state).
     #[must_use]
     pub fn current_instance(&self) -> &Instance {
-        &self.current
+        &self.state.current
     }
 
     /// The committed assignment.
     #[must_use]
     pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+        &self.state.assignment
     }
 
     /// Capped utility of the committed assignment.
@@ -1192,13 +1173,13 @@ impl IngestSnapshot {
     /// Number of live streams in the committed model.
     #[must_use]
     pub fn num_live(&self) -> usize {
-        self.model.live.iter().filter(|&&l| l).count()
+        self.state.model.live.iter().filter(|&&l| l).count()
     }
 
     /// The snapshot's fixed id [`Universe`].
     #[must_use]
     pub fn universe(&self) -> Universe {
-        Universe::of(&self.base)
+        self.state.model.universe()
     }
 
     /// The §5 online preview over this snapshot: runs the
@@ -1219,16 +1200,16 @@ impl IngestSnapshot {
         pending: &[Update],
         config: OnlineConfig,
     ) -> Result<Vec<OfferOutcome>, IngestError> {
-        let mut scratch = self.model.clone();
-        let mut touched = Touched::new(self.base.num_streams(), self.base.num_users());
+        let mut scratch = Model::clone(&self.state.model);
+        let mut touched = Touched::new(scratch.universe(), false);
         let mut arrivals = Vec::new();
         for update in pending {
-            scratch.apply(&self.base, update, &mut touched)?;
+            scratch.apply(update, &mut touched)?;
             if let Update::StreamArrival(s) = *update {
                 arrivals.push(s);
             }
         }
-        let mut preview = scratch.materialize(&self.base)?;
+        let mut preview = scratch.materialize()?;
         // Audience-less live streams (every interest churned away) would
         // fail the eq.-(1) normalization; they can never be assigned, so
         // zeroing their costs changes no decision.
@@ -1239,15 +1220,14 @@ impl IngestSnapshot {
             })
             .collect();
         if !orphans.is_empty() {
-            let mut no_cost = scratch.clone();
             for s in &orphans {
-                no_cost.live[s.index()] = false;
+                scratch.live[s.index()] = false;
             }
-            preview = no_cost.materialize(&self.base)?;
+            preview = scratch.materialize()?;
         }
         let mut allocator =
             OnlineAllocator::with_config(&preview, config).map_err(IngestError::Solve)?;
-        allocator.preload(&self.assignment);
+        allocator.preload(&self.state.assignment);
         Ok(arrivals.into_iter().map(|s| allocator.offer(s)).collect())
     }
 }
@@ -1722,6 +1702,56 @@ mod tests {
         assert!(m2.resolved_shards >= m1.resolved_shards);
         assert!(m2.shard_slots >= m1.shard_slots);
         assert!(m2.total_apply_nanos >= m1.total_apply_nanos);
+    }
+
+    #[test]
+    fn snapshot_shares_the_committed_state() {
+        let eng = engine(three_components());
+        let snap = eng.snapshot(0);
+        assert!(std::ptr::eq(
+            eng.current_instance(),
+            snap.current_instance()
+        ));
+        assert!(std::ptr::eq(eng.assignment(), snap.assignment()));
+    }
+
+    /// A snapshot describes the state it was taken of, whatever the engine
+    /// does next: commit a batch, reject one, or shed one to the cache.
+    #[test]
+    fn snapshot_keeps_its_state_after_later_applies() {
+        let shed = IngestConfig::default().with_budget(SolveBudget::default().with_hard_work(0));
+        let depart = vec![Update::StreamDeparture(sid(0))];
+        let too_tight = vec![Update::BudgetChange {
+            measure: 0,
+            budget: 5.0,
+        }];
+        let cases = [
+            ("commit", IngestConfig::default(), depart.clone()),
+            ("reject", IngestConfig::default(), too_tight),
+            ("shed", shed, depart),
+        ];
+        for (case, config, batch) in cases {
+            let mut eng = IngestEngine::new(three_components(), config).unwrap();
+            let snap = eng.snapshot(0);
+            let instance = snap.current_instance().clone();
+            let assignment = snap.assignment().clone();
+            let last = *snap.last_outcome();
+            eng.push_batch(batch).unwrap();
+            match (case, eng.apply()) {
+                ("commit", Ok(out)) => {
+                    assert!(!out.stale);
+                    assert_ne!(eng.current_instance(), &instance, "the engine moved on");
+                    assert_eq!(eng.num_live(), 5);
+                }
+                ("reject", Err(IngestError::CostExceedsBudget { .. })) => {}
+                ("shed", Ok(out)) => assert!(out.stale),
+                (case, other) => panic!("{case}: unexpected {other:?}"),
+            }
+            assert_eq!(snap.current_instance(), &instance, "{case}");
+            assert_eq!(snap.assignment(), &assignment, "{case}");
+            assert_eq!(*snap.last_outcome(), last, "{case}");
+            assert_eq!(snap.num_live(), 6, "{case}");
+        }
     }
 
     #[test]

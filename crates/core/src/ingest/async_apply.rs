@@ -23,7 +23,10 @@
 //!   swapping an `Arc` behind a mutex — an atomic epoch swap. Readers
 //!   ([`AsyncIngest::snapshot`]) get either the previous or the new
 //!   committed state, never a torn intermediate, and never wait on an
-//!   in-flight re-solve.
+//!   in-flight re-solve. A snapshot shares the engine's committed state
+//!   instead of copying it, so a publish costs the same at any instance
+//!   size, and a rejected epoch republishes the unchanged state with its
+//!   moved counters.
 //!
 //! Completion is observable per epoch ([`AsyncIngest::wait`], or an
 //! [`ApplyWaiter`] handle from another thread) and in aggregate
@@ -83,6 +86,8 @@ struct Shared {
 ///
 /// Owns the solver thread; dropping it (or calling
 /// [`shutdown`](Self::shutdown)) drains the queue and joins the thread.
+/// Each published snapshot shares the engine's committed state, so a
+/// publish copies no instance, model or assignment.
 #[derive(Debug)]
 pub struct AsyncIngest {
     shared: Arc<Shared>,
@@ -422,8 +427,8 @@ fn solver_loop(mut engine: IngestEngine, shared: &Shared) -> IngestEngine {
             }
         };
         // The atomic epoch swap: readers see the previous snapshot or this
-        // one, never a torn state. Published on rejection too — the
-        // allocation is unchanged but the metrics moved.
+        // one, never a torn state. Published on rejection too — the shared
+        // committed state is unchanged but the metrics moved.
         *shared.snapshot.lock().expect("snapshot lock") = Arc::new(engine.snapshot(epoch));
         let mut state = shared.state.lock().expect("ingest queue lock");
         state.outcomes.insert(epoch, result.map_err(Arc::new));
@@ -529,6 +534,29 @@ mod tests {
             .expect("submit");
         ingest.wait(epoch).expect("apply after rejection");
         drop(ingest);
+    }
+
+    #[test]
+    fn rejected_epoch_republishes_the_same_committed_state() {
+        let ingest = AsyncIngest::new(
+            IngestEngine::new(small_instance(), IngestConfig::default()).expect("engine"),
+        );
+        let before = ingest.snapshot();
+        let epoch = ingest
+            .apply_async(vec![Update::BudgetChange {
+                measure: 0,
+                budget: 0.5,
+            }])
+            .expect("structurally fine");
+        ingest.wait(epoch).expect_err("stateful rejection");
+        let after = ingest.snapshot();
+        assert_eq!(after.epoch(), epoch, "the rejected epoch is published");
+        assert_eq!(after.metrics().rejected_batches, 1);
+        assert!(std::ptr::eq(
+            before.current_instance(),
+            after.current_instance()
+        ));
+        assert!(std::ptr::eq(before.assignment(), after.assignment()));
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   results come back **in input order**, so callers are deterministic by
 //!   construction at any thread count or chunk grain.
 //! * [`parallel_map_with_grain`] — the same, with an explicit chunk grain
-//!   (items per work-stealing claim) instead of the auto/`MMD_POOL_GRAIN`
-//!   default.
+//!   (items per work-stealing claim) instead of the item-count default.
 //! * [`par_chunks`] — the same, but over contiguous chunks of a slice.
 //! * [`scoped_map`] — the pre-pool scoped-spawn implementation, kept as
 //!   the benchmark reference the `pool-*` perf rungs compare against.
@@ -30,9 +29,8 @@
 //! caller's thread" (no dispatch at all), and `n > 1` uses up to `n`
 //! executors — the calling thread plus up to `n − 1` pool workers.
 //!
-//! Environment knobs (read once per process): `MMD_POOL_WORKERS` sizes the
-//! global pool's worker set; `MMD_POOL_GRAIN` pins the chunk grain for
-//! every map that does not pass one explicitly.
+//! One environment knob (read once per process): `MMD_POOL_WORKERS` sizes
+//! the global pool's worker set.
 
 pub mod pool;
 
@@ -88,9 +86,9 @@ where
 /// dispatch, which keeps single-threaded callers bit-identical and
 /// overhead-free.
 ///
-/// The chunk grain defaults to `MMD_POOL_GRAIN` when set, otherwise an
-/// item-count heuristic (see [`pool::default_grain_for`]); use
-/// [`parallel_map_with_grain`] to pin it per call.
+/// The chunk grain defaults to an item-count heuristic (see
+/// [`pool::default_grain_for`]); use [`parallel_map_with_grain`] to pin it
+/// per call.
 ///
 /// `f` receives `(index, &item)` so callers can vary behaviour by position
 /// (seeds, labels) without capturing extra state.

@@ -12,7 +12,7 @@
 //! * **Chunked stealing.** A batch's items are split into `grain`-sized
 //!   chunks; executors claim whole chunks off one atomic cursor
 //!   (`fetch_add`). Small items therefore cost one atomic per *chunk*, not
-//!   one per item — the knob that stops tiny classify/shard items from
+//!   one per item — the grain is what stops tiny classify/shard items from
 //!   thrashing the cursor cache line.
 //! * **Caller participation.** The submitting thread always executes
 //!   chunks of its own batch before blocking on completion. This is what
@@ -545,12 +545,6 @@ fn workers_from(knob: Option<usize>) -> usize {
     knob.unwrap_or_else(|| crate::resolve(0).saturating_sub(1).max(1))
 }
 
-/// The grain `default_grain_for` falls back to when the env knob is unset
-/// or unusable: roughly four chunks per executor clamped to `[1, 64]`.
-fn grain_from(knob: Option<usize>, len: usize, executors: usize) -> usize {
-    knob.unwrap_or_else(|| len.div_ceil(4 * executors.max(1)).clamp(1, MAX_GRAIN))
-}
-
 /// Worker-thread count of the global pool: `MMD_POOL_WORKERS` when set to a
 /// positive integer, otherwise the machine's available parallelism minus
 /// the caller's thread, floored at 1 so every machine gets at least two
@@ -568,18 +562,12 @@ pub fn default_workers() -> usize {
 }
 
 /// The default chunk grain for a batch of `len` items on `executors`
-/// executors: `MMD_POOL_GRAIN` when set to a positive integer, otherwise
-/// roughly four chunks per executor clamped to `[1, 64]` — enough chunks to
-/// balance unequal items, big enough that tiny items amortize the claim
-/// atomics. An unusable value is reported once on stderr and ignored.
+/// executors: roughly four chunks per executor clamped to `[1, 64]` —
+/// enough chunks to balance unequal items, big enough that tiny items
+/// amortize the claim atomics.
 #[must_use]
 pub fn default_grain_for(len: usize, executors: usize) -> usize {
-    static GRAIN: OnceLock<Option<usize>> = OnceLock::new();
-    let env = *GRAIN.get_or_init(|| {
-        let raw = std::env::var("MMD_POOL_GRAIN").ok();
-        knob_or_warn("MMD_POOL_GRAIN", parse_pool_knob(raw.as_deref()))
-    });
-    grain_from(env, len, executors)
+    len.div_ceil(4 * executors.max(1)).clamp(1, MAX_GRAIN)
 }
 
 // An interleaving smoke test for the pool's atomics: many submitters
@@ -717,6 +705,13 @@ mod tests {
         assert_eq!(default_grain_for(1, 4), 1);
         assert!(default_grain_for(10_000, 4) <= MAX_GRAIN);
         assert!(default_grain_for(10_000, 4) >= 1);
+        for (len, executors) in [(1usize, 4usize), (100, 4), (10_000, 4), (10_000, 0)] {
+            assert_eq!(
+                default_grain_for(len, executors),
+                len.div_ceil(4 * executors.max(1)).clamp(1, MAX_GRAIN),
+                "~4 chunks/executor clamped to [1, {MAX_GRAIN}]"
+            );
+        }
     }
 
     #[test]
@@ -742,17 +737,7 @@ mod tests {
             crate::resolve(0).saturating_sub(1).max(1),
             "worker fallback is cores - 1, floored at 1"
         );
-        let grain_garbage = knob_or_warn("MMD_POOL_GRAIN", parse_pool_knob(Some("4x")));
-        assert_eq!(grain_garbage, None);
-        for (len, executors) in [(1usize, 4usize), (100, 4), (10_000, 4), (10_000, 0)] {
-            assert_eq!(
-                grain_from(grain_garbage, len, executors),
-                len.div_ceil(4 * executors.max(1)).clamp(1, MAX_GRAIN),
-                "grain fallback is ~4 chunks/executor clamped to [1, {MAX_GRAIN}]"
-            );
-        }
-        // Valid knobs win over the fallback untouched.
+        // A valid knob wins over the fallback untouched.
         assert_eq!(workers_from(Some(5)), 5);
-        assert_eq!(grain_from(Some(7), 10_000, 4), 7);
     }
 }

@@ -141,9 +141,6 @@ pub struct Service {
     counters: Arc<ServeCounters>,
     full_resolve_scheduled: bool,
     draining: bool,
-    /// Lane layout of the served instance, fixed at startup (updates never
-    /// change the layout); reported by `metrics`.
-    lane_mode: &'static str,
 }
 
 impl Service {
@@ -154,10 +151,6 @@ impl Service {
     ///
     /// Propagates the initial solve's [`IngestError`].
     pub fn new(instance: Instance, config: ServeConfig) -> Result<Self, IngestError> {
-        let lane_mode = match instance.lane_mode() {
-            mmd_core::LaneMode::Exact => "exact",
-            mmd_core::LaneMode::Compact => "compact",
-        };
         let engine = IngestEngine::new(instance, config.ingest)?;
         Ok(Service {
             ingest: AsyncIngest::new(engine),
@@ -166,7 +159,6 @@ impl Service {
             counters: Arc::new(ServeCounters::default()),
             full_resolve_scheduled: false,
             draining: false,
-            lane_mode,
         })
     }
 
@@ -427,7 +419,8 @@ impl Service {
     /// gauges and the committed certificate.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let m = self.ingest.metrics();
-        let last = self.certificate();
+        let snapshot = self.ingest.snapshot();
+        let last = snapshot.last_outcome();
         let pool = mmd_par::Pool::global();
         let c = &self.counters;
         MetricsSnapshot {
@@ -462,7 +455,11 @@ impl Service {
             epoch_submitted: self.ingest.submitted_epoch(),
             epoch_committed: self.ingest.committed_epoch(),
             epoch_in_flight: self.ingest.in_flight_epoch().unwrap_or(0),
-            lane_mode: self.lane_mode.to_string(),
+            lane_mode: match snapshot.current_instance().lane_mode() {
+                mmd_core::LaneMode::Exact => "exact",
+                mmd_core::LaneMode::Compact => "compact",
+            }
+            .to_string(),
             peak_rss_bytes: peak_rss_bytes(),
             budget_soft_trips: m.budget_soft_trips,
             budget_hard_trips: m.budget_hard_trips,
@@ -856,6 +853,23 @@ mod tests {
         let served = svc.into_engine();
         assert_eq!(served.utility().to_bits(), engine.utility().to_bits());
         assert_eq!(served.assignment(), engine.assignment());
+    }
+
+    /// `lane_mode` names the layout of the instance the engine serves,
+    /// which the engine materializes itself, not the input's layout.
+    #[test]
+    fn metrics_report_the_served_lane_layout() {
+        let compact = demo_instance()
+            .with_lane_mode(mmd_core::LaneMode::Compact)
+            .unwrap();
+        let svc = Service::new(compact, ServeConfig::default()).unwrap();
+        let reported = svc.metrics_snapshot().lane_mode;
+        let served = svc.into_engine().current_instance().lane_mode();
+        let expected = match served {
+            mmd_core::LaneMode::Exact => "exact",
+            mmd_core::LaneMode::Compact => "compact",
+        };
+        assert_eq!(reported, expected);
     }
 
     #[test]
